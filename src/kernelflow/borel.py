@@ -10,10 +10,13 @@ divergence as n grows.
 
 Cell masses are computed by integrating indicator-weighted densities over
 x-space (level sets need not be intervals, so nothing is inverted).  The
-deterministic integrator adaptively bisects panels until the ratio is
-resolved to a single cell and the local quadrature error estimate fits a
-width-proportional budget; the Monte Carlo integrator bins seeded samples
-from q.  Both are deterministic given their full IntegratorSpec.
+deterministic integrator splits x-space into panels on which the sampled
+ratio is monotone, locates every crossing of a cell edge inside them by
+bisection on the ratio, and integrates q and q * ratio between consecutive
+crossings with two Gauss-Legendre orders, halving an interval only while
+the orders disagree beyond a width-proportional budget.  The Monte Carlo
+integrator bins seeded samples from q.  Both are deterministic given their
+full IntegratorSpec.
 """
 
 from __future__ import annotations
@@ -30,12 +33,27 @@ INF = math.inf
 
 _MODEL_VALIDATION_TOL = 1e-6
 
+# Quadrature layout.  Every constant is fixed, so a level's masses depend
+# only on the model, n and the tolerance.
+_PANELS = 4096  # initial panels over the working interval
+_SAMPLES = np.linspace(0.0, 1.0, 5)  # ratio samples per panel, ends included
+_MONOTONE_DEPTH = 40  # halvings of a panel whose samples are not monotone
+_BISECT_ROUNDS = 64  # bracket halvings per cell-edge crossing
+_MAX_HALVINGS = 48  # halvings of an interval between crossings
+_MAX_LIVE = 1 << 22  # live panels, crossings or intervals in one level
+_CHUNK = 1 << 15  # intervals per call of the model's functions
+_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
+_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
+_GL_NODES = np.concatenate([_GL16_X, _GL8_X])
+
 
 @dataclass(frozen=True)
 class DensityModel:
     """p and q on an interval, given as q's density and the ratio dp/dq.
 
-    base_density and ratio must accept numpy arrays.  For quadrature on an
+    base_density and ratio must accept numpy arrays and return finite,
+    nonnegative values; quadrature and validate_model raise
+    DomainMismatchError where they do not.  For quadrature on an
     unbounded support a truncation interval capturing all but <= 1e-10 of
     both masses must be supplied; the leftover is folded into the boundary
     cell and reported on the level.
@@ -65,14 +83,16 @@ def validate_model(model: DensityModel, grid_points: int = 1_000_001) -> tuple[f
     """Check that q and p both integrate to 1 over the working interval.
 
     Returns the two integrals; raises if either is off by more than 1e-6
-    (plus the 1e-10 truncation allowance).
+    (plus the 1e-10 truncation allowance), or if q, the ratio or their
+    product is negative or not finite anywhere on the grid.
     """
     lo, hi = model.quad_interval()
     xs, w = _midpoint_grid(lo, hi, grid_points)
-    q = model.base_density(xs)
-    r = model.ratio(xs)
+    q = _checked(model, xs, model.base_density(xs), "base density")
+    r = _checked(model, xs, model.ratio(xs), "ratio")
+    p = _checked(model, xs, q * r, "ratio * base density")
     q_int = float(np.sum(q) * w)
-    p_int = float(np.sum(q * r) * w)
+    p_int = float(np.sum(p) * w)
     tol = _MODEL_VALIDATION_TOL + 1e-10
     if abs(q_int - 1.0) > tol:
         raise DomainMismatchError(
@@ -95,16 +115,16 @@ def _midpoint_grid(lo: float, hi: float, points: int) -> tuple[np.ndarray, float
 class IntegratorSpec:
     """Fully explicit integration request; no silent default switching.
 
-    kind "quad" is deterministic adaptive bisection; kind "mc" bins
-    samples drawn from the model's q-sampler and requires a seed.
+    kind "quad" is deterministic quadrature between located cell-edge
+    crossings, with tol the total error budget spread over the working
+    interval in proportion to width; kind "mc" bins samples drawn from the
+    model's q-sampler and requires a seed.
     """
 
     kind: str = "quad"
     tol: float = 1e-8
     seed: int | None = None
     samples: int = 1_000_000
-    initial_panels: int = 512
-    max_depth: int = 48
 
     def __post_init__(self):
         if self.kind not in ("quad", "mc"):
@@ -170,50 +190,19 @@ def _bin_masses_mc(model: DensityModel, n: int, spec: IntegratorSpec) -> Partiti
 
 def _bin_masses_quad(model: DensityModel, n: int, spec: IntegratorSpec) -> PartitionLevel:
     lo, hi = model.quad_interval()
-    span = hi - lo
     nc = cell_count(n)
     q_mass = np.zeros(nc)
     p_mass = np.zeros(nc)
     err = 0.0
-
-    edges = np.linspace(lo, hi, spec.initial_panels + 1)
-    a, b = edges[:-1], edges[1:]
-    offsets = np.array([0.0, 0.125, 0.25, 0.5, 0.75, 0.875, 1.0])[:, None]
-
-    for depth in range(spec.max_depth + 1):
-        if a.size == 0:
-            break
-        h = b - a
-        xs = a[None, :] + h[None, :] * offsets
-        q = model.base_density(xs)
-        r = model.ratio(xs)
-        p = q * r
-        cells = _cell_of(r, n)
-        same_cell = (cells == cells[3]).all(axis=0)
-        # midpoint rule vs its two-panel refinement; Richardson-extrapolate
-        q1 = h * q[3]
-        q2 = 0.5 * h * (q[2] + q[4])
-        p1 = h * p[3]
-        p2 = 0.5 * h * (p[2] + p[4])
-        err_q = np.abs(q2 - q1) / 3.0
-        err_p = np.abs(p2 - p1) / 3.0
-        budget = spec.tol * h / span
-        accept = same_cell & (err_q + err_p <= budget)
-        if depth == spec.max_depth:
-            # width floor reached: assign by midpoint cell, charge the
-            # whole panel mass of still-unresolved panels to the error
-            forced = ~accept
-            err += float(np.sum((q2 + np.abs(p2))[forced & ~same_cell]))
-            accept = np.ones_like(accept)
-        idx = cells[3][accept]
-        np.add.at(q_mass, idx, ((4.0 * q2 - q1) / 3.0)[accept])
-        np.add.at(p_mass, idx, ((4.0 * p2 - p1) / 3.0)[accept])
-        err += float(np.sum((err_q + err_p)[accept]))
-        rest = ~accept
-        a, b = (
-            np.concatenate([a[rest], (a[rest] + b[rest]) / 2.0]),
-            np.concatenate([(a[rest] + b[rest]) / 2.0, b[rest]]),
-        )
+    try:
+        a, b, r_a, r_b, err = _monotone_panels(model, lo, hi, n)
+        cuts, cut_err = _crossings(model, a, b, r_a, r_b, n)
+        err += cut_err
+        breaks = np.sort(np.concatenate([a, [hi], cuts]))
+        err += _integrate(model, breaks, n, spec.tol / (hi - lo), q_mass, p_mass)
+    except IntegrationToleranceError as exc:
+        exc.partial = PartitionLevel(n, p_mass, q_mass, err)
+        raise
 
     np.maximum(q_mass, 0.0, out=q_mass)
     np.maximum(p_mass, 0.0, out=p_mass)
@@ -237,6 +226,151 @@ def _bin_masses_quad(model: DensityModel, n: int, spec: IntegratorSpec) -> Parti
             partial=PartitionLevel(n, p_mass, q_mass, err, folded_q, folded_p),
         )
     return PartitionLevel(n, p_mass, q_mass, err, folded_q, folded_p)
+
+
+def _require_room(live: int, n: int) -> None:
+    if live > _MAX_LIVE:
+        raise IntegrationToleranceError(
+            f"quadrature needs more than {_MAX_LIVE} live intervals at level {n}",
+            achieved=INF,
+        )
+
+
+def _monotone_panels(model: DensityModel, lo: float, hi: float, n: int):
+    """Panels tiling [lo, hi] on which the sampled ratio is monotone or
+    stays in one level-n cell, with the ratio at both ends of each.
+
+    Other panels are halved, at most _MONOTONE_DEPTH times; the mass of a
+    panel still unresolved then is charged to the returned error.
+    """
+    edges = np.linspace(lo, hi, _PANELS + 1)
+    a, b = edges[:-1], edges[1:]
+    done = []
+    err = 0.0
+    for depth in range(_MONOTONE_DEPTH + 1):
+        _require_room(a.size, n)
+        xs = a[:, None] + (b - a)[:, None] * _SAMPLES
+        xs[:, -1] = b
+        r = _checked(model, xs, model.ratio(xs), "ratio")
+        step = np.diff(r, axis=1)
+        cells = _cell_of(r, n)
+        ok = (step >= 0).all(axis=1) | (step <= 0).all(axis=1) | (cells == cells[:, :1]).all(axis=1)
+        if depth == _MONOTONE_DEPTH and not ok.all():
+            q = _checked(model, xs[~ok], model.base_density(xs[~ok]), "base density")
+            err += float(np.sum((b - a)[~ok] * (q * (1.0 + r[~ok])).max(axis=1)))
+            ok[:] = True
+        done.append((a[ok], b[ok], r[ok, 0], r[ok, -1]))
+        if ok.all():
+            break
+        a, b = a[~ok], b[~ok]
+        mid = 0.5 * (a + b)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+    a, b, r_a, r_b = (np.concatenate(col) for col in zip(*done))
+    return a, b, r_a, r_b, err
+
+
+def _crossings(model: DensityModel, a, b, r_a, r_b, n: int):
+    """Where the ratio crosses each level-n cell edge inside the panels.
+
+    The edges crossed in a monotone panel are j 2^-n for j above the lower
+    end cell up to the upper one (j = n 2^n is the tail edge n).  Each is
+    bracketed by bisection on the ratio alone until the bracket ends are
+    adjacent floats.  Returns the right bracket ends and, as error, each
+    bracket's width times the larger q + p at its ends.
+    """
+    c_a, c_b = _cell_of(r_a, n), _cell_of(r_b, n)
+    count = np.abs(c_b - c_a)
+    total = int(count.sum())
+    _require_room(total, n)
+    panel = np.repeat(np.arange(a.size), count)
+    first = np.minimum(c_a, c_b)[panel] + 1
+    j = first + np.arange(total) - np.repeat(np.cumsum(count) - count, count)
+    edge = j * 2.0**-n
+    rising = (c_b > c_a)[panel]
+    left, right = a[panel], b[panel]
+    live = np.arange(total)
+    lo, hi = left, right
+    for _ in range(_BISECT_ROUNDS):
+        mid = 0.5 * (lo + hi)
+        moving = (mid > lo) & (mid < hi)
+        if not moving.all():
+            # brackets whose ends are adjacent floats are final
+            left[live], right[live] = lo, hi
+            live, lo, hi, mid = live[moving], lo[moving], hi[moving], mid[moving]
+            edge, rising = edge[moving], rising[moving]
+            if live.size == 0:
+                break
+        r = _checked(model, mid, model.ratio(mid), "ratio")
+        # the crossing is left of mid when mid is already past the edge
+        past = (r >= edge) == rising
+        lo = np.where(past, lo, mid)
+        hi = np.where(past, mid, hi)
+    left[live], right[live] = lo, hi
+    ends = np.stack([left, right])
+    q = _checked(model, ends, model.base_density(ends), "base density")
+    p = _checked(model, ends, q * model.ratio(ends), "ratio * base density")
+    return right, float(np.sum((right - left) * (q + p).max(axis=0)))
+
+
+def _integrate(model: DensityModel, breaks, n: int, rel_tol: float, q_mass, p_mass) -> float:
+    """Add the q- and p-mass of each interval between consecutive breaks to
+    its cell and return the summed |G16 - G8| error.
+
+    An interval lies in one cell, read off the ratio at its midpoint.  It
+    is halved while its two Gauss-Legendre orders differ by more than
+    rel_tol times its width, at most _MAX_HALVINGS times.
+    """
+    a, b = breaks[:-1], breaks[1:]
+    mid = 0.5 * (a + b)
+    cells = _cell_of(_checked(model, mid, model.ratio(mid), "ratio"), n)
+    err = 0.0
+    for depth in range(_MAX_HALVINGS + 1):
+        _require_room(a.size, n)
+        q16, p16, diff = _gauss(model, a, b)
+        done = diff <= rel_tol * (b - a)
+        if depth == _MAX_HALVINGS:
+            done[:] = True
+        q_mass += np.bincount(cells[done], weights=q16[done], minlength=q_mass.size)
+        p_mass += np.bincount(cells[done], weights=p16[done], minlength=p_mass.size)
+        err += float(np.sum(diff[done]))
+        if done.all():
+            break
+        a, b, cells = a[~done], b[~done], cells[~done]
+        mid = 0.5 * (a + b)
+        a, b, cells = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([cells, cells])
+    return err
+
+
+def _gauss(model: DensityModel, a, b):
+    """16-node Gauss-Legendre q- and p-integrals over each [a, b], and
+    |G16 - G8| of q plus that of p.  The model is called on _CHUNK
+    intervals at a time to bound memory."""
+    out = np.empty((3, a.size))
+    for s in range(0, a.size, _CHUNK):
+        lo, hi = a[s:s + _CHUNK], b[s:s + _CHUNK]
+        half = 0.5 * (hi - lo)
+        xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
+        q = _checked(model, xs, model.base_density(xs), "base density")
+        p = _checked(model, xs, q * model.ratio(xs), "ratio * base density")
+        q16 = half * (q[:, :16] * _GL16_W).sum(axis=1)
+        p16 = half * (p[:, :16] * _GL16_W).sum(axis=1)
+        q8 = half * (q[:, 16:] * _GL8_W).sum(axis=1)
+        p8 = half * (p[:, 16:] * _GL8_W).sum(axis=1)
+        out[:, s:s + _CHUNK] = q16, p16, np.abs(q16 - q8) + np.abs(p16 - p8)
+    return out
+
+
+def _checked(model: DensityModel, xs, values, what: str):
+    """values, after checking that the model gave finite nonnegative output."""
+    ok = np.isfinite(values) & (values >= 0)
+    if not ok.all():
+        i = int(np.flatnonzero(~ok)[0])
+        x = float(np.broadcast_to(xs, values.shape).flat[i])
+        raise DomainMismatchError(
+            f"model {model.name!r}: {what} is {values.flat[i]} at x = {x:.9g}, "
+            "not a finite nonnegative number"
+        )
+    return values
 
 
 def discretized_kl(level: PartitionLevel) -> float:

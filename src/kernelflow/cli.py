@@ -9,9 +9,10 @@ failure, 4 indeterminate arithmetic.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -60,17 +61,6 @@ def _read(path: str) -> str:
 
 def _load_pair(path: str):
     return documents.parse_morphism(_read(path)).to_pair()
-
-
-def _threads_cap() -> int:
-    # estimator parallelism cap; the estimator is output-invariant in it
-    raw = os.environ.get("KERNELFLOW_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def cmd_validate(args) -> int:
@@ -125,7 +115,6 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_estimate_kl(args) -> int:
-    _threads_cap()
     if len(args.model) == 1 and Path(args.model[0]).is_file():
         pieces = documents.parse_piecewise(_read(args.model[0]))
         model = piecewise_constant_model(pieces, name=args.model[0])
@@ -140,16 +129,19 @@ def cmd_estimate_kl(args) -> int:
             values = [float(Fraction(p)) for p in params]
         except (ValueError, ZeroDivisionError):
             raise DomainMismatchError(f"model parameters must be numbers: {params}")
+        required = [
+            p.name
+            for p in inspect.signature(factory).parameters.values()
+            if p.default is inspect.Parameter.empty
+        ]
+        if len(values) != len(required):
+            raise DomainMismatchError(
+                f"model {name!r} takes {len(required)} parameters "
+                f"({' '.join(required)}), got {len(values)}"
+            )
         model = factory(*values)
     if args.truncate is not None:
-        model = type(model)(
-            name=model.name,
-            base_density=model.base_density,
-            ratio=model.ratio,
-            support=model.support,
-            truncation=(args.truncate[0], args.truncate[1]),
-            sampler=model.sampler,
-        )
+        model = dataclasses.replace(model, truncation=tuple(args.truncate))
     spec = IntegratorSpec(kind=args.integrator, seed=args.seed)
     if args.integrator == "mc" and args.seed is None:
         raise DomainMismatchError("--integrator mc requires --seed")

@@ -1,10 +1,11 @@
 """Continuous-KL estimator: dyadic ratio partitions, integration, traces.
 
-Independent oracles: both built-in model families have monotone density
-ratios, so every ratio level set is an interval and its exact p/q masses
-follow from the closed-form CDFs.  The estimator never uses this structure
-(it integrates indicator-weighted densities), which keeps the comparison
-honest.
+Independent oracles: for the model instances checked against exact
+masses, every set {ratio >= c} is an interval (the ratio is monotone, or
+rises and falls once), so each cell's exact p/q masses follow from the
+closed-form CDFs.  The estimator never assumes this structure (it tests
+monotonicity panel by panel from ratio samples and integrates the
+densities numerically), which keeps the comparison honest.
 """
 
 import math
@@ -63,6 +64,31 @@ def gaussian_cell_oracle(n):
         x_lo = -INF if b_r == INF else 0.5 - math.log(b_r)
         p_mass[k] = norm_cdf(x_hi) - norm_cdf(x_lo)
         q_mass[k] = norm_cdf(x_hi - 1) - norm_cdf(x_lo - 1)
+    return p_mass, q_mass
+
+
+def gaussian_scale_oracle(n, mu, sigma):
+    """Exact cell masses for p = N(mu, 1) against q = N(mu, sigma), sigma > 1.
+
+    The ratio sigma e^(-(1 - 1/sigma^2)(x - mu)^2 / 2) rises to sigma at
+    x = mu and falls again, so {ratio >= c} is the interval |x - mu| <= s(c)
+    and each cell's masses are differences of erf values."""
+    shrink = 1 - 1 / sigma**2
+
+    def at_least(c, scale):
+        if c == 0:
+            return 1.0
+        if c >= sigma:
+            return 0.0
+        s = math.sqrt(2 * math.log(sigma / c) / shrink)
+        return math.erf(s / (scale * math.sqrt(2)))
+
+    nc = cell_count(n)
+    p_mass, q_mass = np.zeros(nc), np.zeros(nc)
+    for k in range(nc):
+        a_r, b_r = cell_interval(n, k)
+        p_mass[k] = at_least(a_r, 1) - at_least(b_r, 1)
+        q_mass[k] = at_least(a_r, sigma) - at_least(b_r, sigma)
     return p_mass, q_mass
 
 
@@ -169,6 +195,76 @@ class TestBinMasses:
     def test_unknown_integrator_kind(self):
         with pytest.raises(DomainMismatchError):
             IntegratorSpec(kind="simpson")
+
+
+    def test_live_interval_cap_raises_with_partial_level(self, monkeypatch):
+        monkeypatch.setattr("kernelflow.borel._MAX_LIVE", 1000)
+        with pytest.raises(IntegrationToleranceError) as info:
+            bin_masses(gauss01_11(), 8, QUAD)  # 2049 occupied cells
+        assert info.value.partial.n == 8
+        assert info.value.partial.p_mass.size == cell_count(8)
+
+
+class TestRatioShapes:
+    """Ratios that are not monotone or not continuous, against exact masses."""
+
+    def test_non_monotone_ratio_matches_cdf_oracle(self):
+        # N(0,1) || N(0,2): the ratio 2 e^(-3x^2/8) peaks at x = 0 on the
+        # cell edge 2.  In floating point it equals 2 exactly for
+        # |x| < 1.2e-8, so about 9e-9 of mass lands in the cell starting at
+        # 2 instead of the one below it; those two cells are compared merged.
+        model = gaussian_model(0, 1, 0, 2, truncation=(-16.0, 16.0))
+        for n in range(1, 9):
+            level = bin_masses(model, n, QUAD)
+            p_ref, q_ref = gaussian_scale_oracle(n, 0.0, 2.0)
+            for got, want in ((level.p_mass, p_ref), (level.q_mass, q_ref)):
+                got, want = got.copy(), want.copy()
+                if n >= 2:
+                    top = 2 << n  # cell [2, 2 + 2^-n), or the tail at n = 2
+                    assert abs(got[top] - want[top]) < 1e-8
+                    got[top - 1] += got[top]
+                    want[top - 1] += want[top]
+                    got[top] = want[top] = 0.0
+                assert np.max(np.abs(got - want)) < 1e-9
+
+    def test_peak_just_above_a_cell_edge(self):
+        # The ratio peaks at 2 + 2^-20, at x = 1/3, off the panel grid: only
+        # a sliver of width 2.3e-3 reaches the cell at 2, and the panel
+        # holding it has samples that rise and fall.
+        sigma = 2 + 2.0**-20
+        model = gaussian_model(1 / 3, 1, 1 / 3, sigma, truncation=(-16.0, 16.0))
+        for n in range(1, 9):
+            level = bin_masses(model, n, QUAD)
+            p_ref, q_ref = gaussian_scale_oracle(n, 1 / 3, sigma)
+            assert np.max(np.abs(level.p_mass - p_ref)) < 1e-9
+            assert np.max(np.abs(level.q_mass - q_ref)) < 1e-9
+
+    def test_unresolved_panel_charged_to_error(self, monkeypatch):
+        # with no halvings allowed, the panel holding the peak is kept whole
+        # and its mass is charged: too much for the tolerance, but the
+        # partial level's error estimate still covers its deviation
+        monkeypatch.setattr("kernelflow.borel._MONOTONE_DEPTH", 0)
+        sigma = 2 + 2.0**-20
+        model = gaussian_model(1 / 3, 1, 1 / 3, sigma, truncation=(-16.0, 16.0))
+        with pytest.raises(IntegrationToleranceError) as info:
+            bin_masses(model, 8, QUAD)
+        level = info.value.partial
+        p_ref, q_ref = gaussian_scale_oracle(8, 1 / 3, sigma)
+        deviation = np.max(np.abs(level.p_mass - p_ref)) + np.max(np.abs(level.q_mass - q_ref))
+        assert 1e-4 < deviation <= level.err_est
+
+    def test_ratio_with_jumps(self):
+        # p = U[1/4, 3/4] against q = U[0, 1]: the ratio jumps 0 -> 2 -> 0
+        model = uniform_pair_model(0.25, 0.75, 0, 1)
+        for n in (1, 2, 3, 8):
+            level = bin_masses(model, n, QUAD)
+            top = min(2 << n, cell_count(n) - 1)  # the cell holding ratio 2
+            p_ref, q_ref = np.zeros(cell_count(n)), np.zeros(cell_count(n))
+            q_ref[0] = q_ref[top] = 0.5
+            p_ref[top] = 1.0
+            assert np.max(np.abs(level.p_mass - p_ref)) < 1e-12
+            assert np.max(np.abs(level.q_mass - q_ref)) < 1e-12
+            assert level.occupied() == 2
 
 
 class TestDiscretizedKl:
@@ -323,6 +419,37 @@ class TestModels:
         )
         with pytest.raises(DomainMismatchError):
             validate_model(broken)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+    def test_non_finite_model_output_rejected(self):
+        # q = N(0, 0.1) underflows to 0 where the ratio against N(0,1)
+        # overflows to inf, so q * ratio is NaN there
+        model = gaussian_model(0, 1, 0, 0.1, truncation=(-40.0, 40.0))
+        with pytest.raises(DomainMismatchError, match="not a finite"):
+            validate_model(model)
+        with pytest.raises(DomainMismatchError, match="not a finite"):
+            bin_masses(model, 1, QUAD)
+        with pytest.raises(DomainMismatchError, match="not a finite"):
+            estimate_kl(model, 2, 1e-6, QUAD, validate=False)
+
+    def test_negative_model_output_rejected(self):
+        reaches_zero = DensityModel(
+            name="reaches-zero",
+            base_density=lambda x: np.ones_like(x),
+            ratio=lambda x: 2.0 - 2.0 * x,  # integrates to 1, zero at x = 1
+            support=(0.0, 1.0),
+        )
+        validate_model(reaches_zero)
+        flipped = DensityModel(
+            name="flipped",
+            base_density=lambda x: np.ones_like(x),
+            ratio=lambda x: 4.0 * x - 1.0,  # integrates to 1, negative near 0
+            support=(0.0, 1.0),
+        )
+        with pytest.raises(DomainMismatchError, match="not a finite"):
+            validate_model(flipped)
+        with pytest.raises(DomainMismatchError, match="not a finite"):
+            bin_masses(flipped, 2, QUAD)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainMismatchError):

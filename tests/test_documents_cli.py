@@ -344,6 +344,13 @@ class TestEstimateKlCommand:
         assert code == 1
         assert "unknown model" in err
 
+    def test_wrong_parameter_count(self, capsys):
+        code, out, err = run(capsys, "estimate-kl", "gaussian", "0", "1", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "mu1 sigma1 mu2 sigma2" in err
+
     def test_mc_requires_seed(self, capsys):
         code, _, err = run(
             capsys, "estimate-kl", "gaussian", "0", "1", "1", "1",
