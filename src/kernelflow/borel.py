@@ -14,9 +14,10 @@ deterministic integrator splits x-space into panels on which the sampled
 ratio is monotone, locates every crossing of a cell edge inside them by
 bisection on the ratio, and integrates q and q * ratio between consecutive
 crossings with two Gauss-Legendre orders, halving an interval only while
-the orders disagree beyond a width-proportional budget.  The Monte Carlo
-integrator bins seeded samples from q.  Both are deterministic given their
-full IntegratorSpec.
+the orders disagree beyond a width-proportional budget or the ratio at
+its nodes or ends leaves its cell.  The Monte Carlo integrator bins
+seeded samples from q.  Both are deterministic given their full
+IntegratorSpec.
 """
 
 from __future__ import annotations
@@ -36,11 +37,13 @@ _MODEL_VALIDATION_TOL = 1e-6
 # Quadrature layout.  Every constant is fixed, so a level's masses depend
 # only on the model, n and the tolerance.
 _PANELS = 4096  # initial panels over the working interval
-_SAMPLES = np.linspace(0.0, 1.0, 5)  # ratio samples per panel, ends included
+# ratio samples per panel: both ends, three inside and one a quarter
+# panel beyond each end, so a turn just past an end sample is seen
+_SAMPLES = np.linspace(-0.25, 1.25, 7)
 _MONOTONE_DEPTH = 40  # halvings of a panel whose samples are not monotone
 _BISECT_ROUNDS = 64  # bracket halvings per cell-edge crossing
 _MAX_HALVINGS = 48  # halvings of an interval between crossings
-_MAX_LIVE = 1 << 22  # live panels, crossings or intervals in one level
+_LIVE_PER_CELL = 4  # live panels, crossings or intervals per cell and panel
 _CHUNK = 1 << 15  # intervals per call of the model's functions
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
@@ -150,6 +153,13 @@ def _cell_of(r: np.ndarray, n: int) -> np.ndarray:
     return np.where(r >= n, tail, np.minimum(idx, tail))
 
 
+def _in_cell(r: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
+    """Whether every ratio value in each row of r lies in that row's cell."""
+    low = cells * 2.0**-n
+    high = np.where(cells == n * (1 << n), INF, low + 2.0**-n)
+    return ((r >= low[:, None]) & (r < high[:, None])).all(axis=1)
+
+
 @dataclass(frozen=True)
 class PartitionLevel:
     """Per-cell p and q masses at one dyadic refinement level."""
@@ -193,7 +203,6 @@ def _bin_masses_quad(model: DensityModel, n: int, spec: IntegratorSpec) -> Parti
     nc = cell_count(n)
     q_mass = np.zeros(nc)
     p_mass = np.zeros(nc)
-    err = 0.0
     try:
         a, b, r_a, r_b, err = _monotone_panels(model, lo, hi, n)
         cuts, cut_err = _crossings(model, a, b, r_a, r_b, n)
@@ -201,7 +210,8 @@ def _bin_masses_quad(model: DensityModel, n: int, spec: IntegratorSpec) -> Parti
         breaks = np.sort(np.concatenate([a, [hi], cuts]))
         err += _integrate(model, breaks, n, spec.tol / (hi - lo), q_mass, p_mass)
     except IntegrationToleranceError as exc:
-        exc.partial = PartitionLevel(n, p_mass, q_mass, err)
+        # the level was abandoned part way, so its masses are incomplete
+        exc.partial = PartitionLevel(n, p_mass, q_mass, INF)
         raise
 
     np.maximum(q_mass, 0.0, out=q_mass)
@@ -229,17 +239,26 @@ def _bin_masses_quad(model: DensityModel, n: int, spec: IntegratorSpec) -> Parti
 
 
 def _require_room(live: int, n: int) -> None:
-    if live > _MAX_LIVE:
+    """Stop a level whose halvings run away.  A monotone piece crosses at
+    most cell_count(n) edges, so the cap leaves room for four sweeps of
+    the whole ratio range besides the panel grid."""
+    cap = _LIVE_PER_CELL * (cell_count(n) + _PANELS)
+    if live > cap:
         raise IntegrationToleranceError(
-            f"quadrature needs more than {_MAX_LIVE} live intervals at level {n}",
+            f"quadrature needs more than {cap} live intervals at level {n}",
             achieved=INF,
         )
 
 
 def _monotone_panels(model: DensityModel, lo: float, hi: float, n: int):
-    """Panels tiling [lo, hi] on which the sampled ratio is monotone or
-    stays in one level-n cell, with the ratio at both ends of each.
+    """Panels tiling [lo, hi] on which, as far as samples show, the ratio
+    is monotone or stays in one level-n cell, with the ratio at both ends.
 
+    A panel counts as monotone when its samples, the two just beyond its
+    ends included, are.  It counts as staying in one cell when the range of
+    its samples, widened on each side by its own width, lies in one cell:
+    near a smooth extremum between two samples, the ratio overshoots the
+    nearest sample by less than that width.
     Other panels are halved, at most _MONOTONE_DEPTH times; the mass of a
     panel still unresolved then is charged to the returned error.
     """
@@ -249,12 +268,18 @@ def _monotone_panels(model: DensityModel, lo: float, hi: float, n: int):
     err = 0.0
     for depth in range(_MONOTONE_DEPTH + 1):
         _require_room(a.size, n)
-        xs = a[:, None] + (b - a)[:, None] * _SAMPLES
-        xs[:, -1] = b
+        xs = np.clip(a[:, None] + (b - a)[:, None] * _SAMPLES, lo, hi)
+        xs[:, 1], xs[:, -2] = a, b
         r = _checked(model, xs, model.ratio(xs), "ratio")
         step = np.diff(r, axis=1)
-        cells = _cell_of(r, n)
-        ok = (step >= 0).all(axis=1) | (step <= 0).all(axis=1) | (cells == cells[:, :1]).all(axis=1)
+        xs, r = xs[:, 1:-1], r[:, 1:-1]  # the panel's own samples
+        r_min, r_max = r.min(axis=1), r.max(axis=1)
+        spread = r_max - r_min
+        ok = (
+            (step >= 0).all(axis=1)
+            | (step <= 0).all(axis=1)
+            | (_cell_of(r_min - spread, n) == _cell_of(r_max + spread, n))
+        )
         if depth == _MONOTONE_DEPTH and not ok.all():
             q = _checked(model, xs[~ok], model.base_density(xs[~ok]), "base density")
             err += float(np.sum((b - a)[~ok] * (q * (1.0 + r[~ok])).max(axis=1)))
@@ -314,50 +339,62 @@ def _crossings(model: DensityModel, a, b, r_a, r_b, n: int):
 
 def _integrate(model: DensityModel, breaks, n: int, rel_tol: float, q_mass, p_mass) -> float:
     """Add the q- and p-mass of each interval between consecutive breaks to
-    its cell and return the summed |G16 - G8| error.
+    its cell and return the error: the summed |G16 - G8|, plus the mass of
+    every interval that still straddles a cell edge after the last halving.
 
-    An interval lies in one cell, read off the ratio at its midpoint.  It
-    is halved while its two Gauss-Legendre orders differ by more than
-    rel_tol times its width, at most _MAX_HALVINGS times.
+    An interval's cell is read off the ratio at its midpoint.  It is halved,
+    at most _MAX_HALVINGS times, while its two Gauss-Legendre orders differ
+    by more than rel_tol times its width, or while the ratio at one of its
+    nodes or ends lies in another cell (a crossing the panel samples
+    missed).
     """
     a, b = breaks[:-1], breaks[1:]
-    mid = 0.5 * (a + b)
-    cells = _cell_of(_checked(model, mid, model.ratio(mid), "ratio"), n)
     err = 0.0
     for depth in range(_MAX_HALVINGS + 1):
         _require_room(a.size, n)
-        q16, p16, diff = _gauss(model, a, b)
-        done = diff <= rel_tol * (b - a)
+        q16, p16, diff, cells, stray = _gauss(model, a, b, n)
+        done = (diff <= rel_tol * (b - a)) & ~stray
         if depth == _MAX_HALVINGS:
+            err += float(np.sum((q16 + p16)[stray]))
             done[:] = True
         q_mass += np.bincount(cells[done], weights=q16[done], minlength=q_mass.size)
         p_mass += np.bincount(cells[done], weights=p16[done], minlength=p_mass.size)
         err += float(np.sum(diff[done]))
         if done.all():
             break
-        a, b, cells = a[~done], b[~done], cells[~done]
+        a, b = a[~done], b[~done]
         mid = 0.5 * (a + b)
-        a, b, cells = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([cells, cells])
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
     return err
 
 
-def _gauss(model: DensityModel, a, b):
-    """16-node Gauss-Legendre q- and p-integrals over each [a, b], and
-    |G16 - G8| of q plus that of p.  The model is called on _CHUNK
-    intervals at a time to bound memory."""
-    out = np.empty((3, a.size))
+def _gauss(model: DensityModel, a, b, n: int):
+    """16-node Gauss-Legendre q- and p-integrals over each [a, b], |G16 - G8|
+    of q plus that of p, the level-n cell of the ratio at the midpoint, and
+    whether the ratio at a node, at a or just inside b lies in another cell.
+
+    A break at a located crossing is the first float past it, so the float
+    before b is still on the interval's side.  The model is called on
+    _CHUNK intervals at a time to bound memory.
+    """
+    out = np.empty((5, a.size))
     for s in range(0, a.size, _CHUNK):
         lo, hi = a[s:s + _CHUNK], b[s:s + _CHUNK]
-        half = 0.5 * (hi - lo)
-        xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
-        q = _checked(model, xs, model.base_density(xs), "base density")
-        p = _checked(model, xs, q * model.ratio(xs), "ratio * base density")
+        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        nodes = mid[:, None] + half[:, None] * _GL_NODES
+        xs = np.column_stack([nodes, lo, np.nextafter(hi, lo), mid])
+        r = _checked(model, xs, model.ratio(xs), "ratio")
+        q = _checked(model, nodes, model.base_density(nodes), "base density")
+        p = _checked(model, nodes, q * r[:, :-3], "ratio * base density")
         q16 = half * (q[:, :16] * _GL16_W).sum(axis=1)
         p16 = half * (p[:, :16] * _GL16_W).sum(axis=1)
         q8 = half * (q[:, 16:] * _GL8_W).sum(axis=1)
         p8 = half * (p[:, 16:] * _GL8_W).sum(axis=1)
-        out[:, s:s + _CHUNK] = q16, p16, np.abs(q16 - q8) + np.abs(p16 - p8)
-    return out
+        cells = _cell_of(r[:, -1], n)
+        stray = ~_in_cell(r, cells, n)
+        out[:, s:s + _CHUNK] = q16, p16, np.abs(q16 - q8) + np.abs(p16 - p8), cells, stray
+    q16, p16, diff, cells, stray = out
+    return q16, p16, diff, cells.astype(np.int64), stray > 0
 
 
 def _checked(model: DensityModel, xs, values, what: str):
