@@ -91,9 +91,9 @@ def validate_model(model: DensityModel, grid_points: int = 1_000_001) -> tuple[f
     """
     lo, hi = model.quad_interval()
     xs, w = _midpoint_grid(lo, hi, grid_points)
-    q = _checked(model, xs, model.base_density(xs), "base density")
-    r = _checked(model, xs, model.ratio(xs), "ratio")
-    p = _checked(model, xs, q * r, "ratio * base density")
+    q = _checked(model, xs, "base density", lambda: model.base_density(xs))
+    r = _checked(model, xs, "ratio", lambda: model.ratio(xs))
+    p = _checked(model, xs, "ratio * base density", lambda: q * r)
     q_int = float(np.sum(q) * w)
     p_int = float(np.sum(p) * w)
     tol = _MODEL_VALIDATION_TOL + 1e-10
@@ -270,7 +270,7 @@ def _monotone_panels(model: DensityModel, lo: float, hi: float, n: int):
         _require_room(a.size, n)
         xs = np.clip(a[:, None] + (b - a)[:, None] * _SAMPLES, lo, hi)
         xs[:, 1], xs[:, -2] = a, b
-        r = _checked(model, xs, model.ratio(xs), "ratio")
+        r = _checked(model, xs, "ratio", lambda: model.ratio(xs))
         step = np.diff(r, axis=1)
         xs, r = xs[:, 1:-1], r[:, 1:-1]  # the panel's own samples
         r_min, r_max = r.min(axis=1), r.max(axis=1)
@@ -281,7 +281,7 @@ def _monotone_panels(model: DensityModel, lo: float, hi: float, n: int):
             | (_cell_of(r_min - spread, n) == _cell_of(r_max + spread, n))
         )
         if depth == _MONOTONE_DEPTH and not ok.all():
-            q = _checked(model, xs[~ok], model.base_density(xs[~ok]), "base density")
+            q = _checked(model, xs[~ok], "base density", lambda: model.base_density(xs[~ok]))
             err += float(np.sum((b - a)[~ok] * (q * (1.0 + r[~ok])).max(axis=1)))
             ok[:] = True
         done.append((a[ok], b[ok], r[ok, 0], r[ok, -1]))
@@ -325,15 +325,15 @@ def _crossings(model: DensityModel, a, b, r_a, r_b, n: int):
             edge, rising = edge[moving], rising[moving]
             if live.size == 0:
                 break
-        r = _checked(model, mid, model.ratio(mid), "ratio")
+        r = _checked(model, mid, "ratio", lambda: model.ratio(mid))
         # the crossing is left of mid when mid is already past the edge
         past = (r >= edge) == rising
         lo = np.where(past, lo, mid)
         hi = np.where(past, mid, hi)
     left[live], right[live] = lo, hi
     ends = np.stack([left, right])
-    q = _checked(model, ends, model.base_density(ends), "base density")
-    p = _checked(model, ends, q * model.ratio(ends), "ratio * base density")
+    q = _checked(model, ends, "base density", lambda: model.base_density(ends))
+    p = _checked(model, ends, "ratio * base density", lambda: q * model.ratio(ends))
     return right, float(np.sum((right - left) * (q + p).max(axis=0)))
 
 
@@ -383,9 +383,9 @@ def _gauss(model: DensityModel, a, b, n: int):
         half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
         nodes = mid[:, None] + half[:, None] * _GL_NODES
         xs = np.column_stack([nodes, lo, np.nextafter(hi, lo), mid])
-        r = _checked(model, xs, model.ratio(xs), "ratio")
-        q = _checked(model, nodes, model.base_density(nodes), "base density")
-        p = _checked(model, nodes, q * r[:, :-3], "ratio * base density")
+        r = _checked(model, xs, "ratio", lambda: model.ratio(xs))
+        q = _checked(model, nodes, "base density", lambda: model.base_density(nodes))
+        p = _checked(model, nodes, "ratio * base density", lambda: q * r[:, :-3])
         q16 = half * (q[:, :16] * _GL16_W).sum(axis=1)
         p16 = half * (p[:, :16] * _GL16_W).sum(axis=1)
         q8 = half * (q[:, 16:] * _GL8_W).sum(axis=1)
@@ -397,8 +397,13 @@ def _gauss(model: DensityModel, a, b, n: int):
     return q16, p16, diff, cells.astype(np.int64), stray > 0
 
 
-def _checked(model: DensityModel, xs, values, what: str):
-    """values, after checking that the model gave finite nonnegative output."""
+def _checked(model: DensityModel, xs, what: str, evaluate):
+    """evaluate(), after checking that the model gave finite nonnegative
+    output at xs.  Floating-point warnings are off while it runs: an
+    overflow or a 0 * inf shows up here as a non-finite value and raises.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = evaluate()
     ok = np.isfinite(values) & (values >= 0)
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
@@ -623,7 +628,7 @@ def piecewise_constant_model(
 
     def lookup(x, vals):
         idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(pieces) - 1)
-        inside = (x >= edges[0]) & (x < his[idx]) | np.isclose(x, edges[0])
+        inside = (x >= edges[0]) & (x < his[idx]) | np.isclose(x, edges[0]) | (x == edges[-1])
         return np.where(inside, vals[idx], 0.0)
 
     return DensityModel(

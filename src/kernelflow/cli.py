@@ -65,24 +65,18 @@ def _load_pair(path: str):
 
 def cmd_validate(args) -> int:
     doc = documents.parse_morphism(_read(args.path))
-    report = doc.validate()
-    extra = ()
-    if report.is_coherent and doc.q is not None:
-        try:
-            doc.to_pair()
-        except IncoherentPairError as exc:
-            report = type(report)(False, exc.violations)
-    if report.is_coherent:
+    try:
         pair = doc.to_pair()
-        abs_ok = is_absolutely_coherent(pair)
-        print("coherent: yes")
-        print(f"absolutely coherent: {'yes' if abs_ok else 'no'}")
-        return EXIT_OK
-    print("coherent: no")
-    print("absolutely coherent: no")
-    for v in report.violations + tuple(extra):
-        print(f"violation: {v}")
-    return EXIT_SEMANTIC
+    except IncoherentPairError as exc:
+        print("coherent: no")
+        print("absolutely coherent: no")
+        for v in exc.violations:
+            print(f"violation: {v}")
+        return EXIT_SEMANTIC
+    abs_ok = is_absolutely_coherent(pair)
+    print("coherent: yes")
+    print(f"absolutely coherent: {'yes' if abs_ok else 'no'}")
+    return EXIT_OK
 
 
 def cmd_re(args) -> int:

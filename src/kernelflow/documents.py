@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DocumentParseError, DomainMismatchError, IncoherentPairError
-from .finite import FiniteDistribution, FiniteSpace, StochasticKernel
+from .finite import FiniteDistribution, FiniteSpace, StochasticKernel, pushforward
 from .pairs import CoherentPair, validate_coherent
 from .scoring import ForecastRecord
 
@@ -44,6 +45,14 @@ def _space(points, lineno: int) -> FiniteSpace:
         raise DocumentParseError(str(exc), lineno)
 
 
+def _distribution(space: FiniteSpace, raw, what: str, lineno: int) -> FiniteDistribution:
+    """The distribution of raw masses, or a parse error naming what failed."""
+    try:
+        return FiniteDistribution(space, raw)
+    except DomainMismatchError as exc:
+        raise DocumentParseError(f"{what}: {exc}", lineno)
+
+
 def _content_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -64,24 +73,28 @@ class MorphismDocument:
     s: StochasticKernel
     q: FiniteDistribution | None  # declared, optional; always recomputed
 
-    def to_pair(self) -> CoherentPair:
-        """Build the validated pair; raises IncoherentPairError on failure."""
-        from .finite import pushforward
+    @cached_property
+    def pushed(self) -> FiniteDistribution:
+        """The pushforward of p along f: the q of every coherent pair."""
+        return pushforward(self.p, self.f, self.y_space)
 
-        pushed = pushforward(self.p, self.f, self.y_space)
-        if self.q is not None and self.q != pushed:
-            bad = [y for y in self.y_space if self.q(y) != pushed(y)]
+    def to_pair(self) -> CoherentPair:
+        """Build the validated pair; raises IncoherentPairError on failure.
+
+        A declared q that is not the pushforward fails with the violations
+        that validate() reports against it.
+        """
+        if self.q is not None and self.q != self.pushed:
+            bad = [y for y in self.y_space if self.q(y) != self.pushed(y)]
             raise IncoherentPairError(
                 "declared q does not match the pushforward of p at "
                 + ", ".join(repr(y) for y in bad),
-                tuple(f"declared q mismatch at {y!r}" for y in bad),
+                self.validate().violations,
             )
-        return CoherentPair(self.f, self.s, self.p, pushed)
+        return CoherentPair(self.f, self.s, self.p, self.pushed)
 
     def validate(self):
-        from .finite import pushforward
-
-        q = self.q if self.q is not None else pushforward(self.p, self.f, self.y_space)
+        q = self.q if self.q is not None else self.pushed
         return validate_coherent(self.f, self.s, self.p, q)
 
 
@@ -141,18 +154,9 @@ def parse_morphism(text: str) -> MorphismDocument:
     x_space = spaces[x_name][1]
     y_space = spaces[y_name][1]
 
-    def build_dist(raw, space, what, lineno):
-        for label in raw:
-            if label not in space:
-                raise DocumentParseError(f"{what} names unknown point {label!r}", lineno)
-        total = sum(raw.values())
-        if total != 1:
-            raise DocumentParseError(f"{what} masses sum to {total}, not 1", lineno)
-        return FiniteDistribution(space, raw)
-
     if not p_raw:
         raise DocumentParseError("missing p masses", last_line)
-    p = build_dist(p_raw, x_space, "p", last_line)
+    p = _distribution(x_space, p_raw, "p", last_line)
     for x in x_space:
         if x not in f_map:
             raise DocumentParseError(f"map undefined at point {x!r}", last_line)
@@ -165,12 +169,12 @@ def parse_morphism(text: str) -> MorphismDocument:
         raw = s_raw.get(y)
         if raw is None:
             raise DocumentParseError(f"missing hypothesis row for {y!r}", last_line)
-        rows[y] = build_dist(raw, x_space, f"s row {y!r}", last_line)
+        rows[y] = _distribution(x_space, raw, f"s row {y!r}", last_line)
     for y in s_raw:
         if y not in y_space:
             raise DocumentParseError(f"hypothesis row for unknown point {y!r}", last_line)
     s = StochasticKernel(y_space, x_space, rows)
-    q = build_dist(q_raw, y_space, "q", last_line) if q_raw else None
+    q = _distribution(y_space, q_raw, "q", last_line) if q_raw else None
     return MorphismDocument(x_name, y_name, x_space, y_space, p, f_map, s, q)
 
 
@@ -216,12 +220,7 @@ def parse_distribution(text: str) -> FiniteDistribution:
             raise DocumentParseError(f"unknown directive {tokens[0]!r}", lineno)
     if space is None:
         raise DocumentParseError("missing space declaration", last)
-    for label in raw:
-        if label not in space:
-            raise DocumentParseError(f"mass names unknown point {label!r}", last)
-    if sum(raw.values()) != 1:
-        raise DocumentParseError(f"masses sum to {sum(raw.values())}, not 1", last)
-    return FiniteDistribution(space, raw)
+    return _distribution(space, raw, "distribution", last)
 
 
 @dataclass(frozen=True)
@@ -271,11 +270,8 @@ def parse_forecast_log(text: str) -> ForecastLog:
                 )
             seen.add((rnd, forecaster))
             masses = {x: _fraction(t, lineno) for x, t in zip(space, tokens[4:])}
-            if sum(masses.values()) != 1:
-                raise DocumentParseError("forecast fractions do not sum to 1", lineno)
-            records.append(
-                ForecastRecord(rnd, forecaster, FiniteDistribution(space, masses), outcome)
-            )
+            forecast = _distribution(space, masses, "forecast", lineno)
+            records.append(ForecastRecord(rnd, forecaster, forecast, outcome))
         else:
             raise DocumentParseError(f"unknown directive {tokens[0]!r}", lineno)
     if space is None:

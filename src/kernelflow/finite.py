@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import DomainMismatchError
@@ -32,7 +33,9 @@ class FiniteSpace:
     """A finite set of distinct, nonempty string labels in a fixed order.
 
     The order given at construction is canonical: all iteration, summation
-    and serialization follow it.
+    and serialization follow it.  Membership and index lookups go through
+    a label -> index map, built on the first lookup, so they cost O(1) and
+    a space that is never queried does not pay for the map.
     """
 
     points: tuple[str, ...]
@@ -50,8 +53,12 @@ class FiniteSpace:
             seen.add(label)
         object.__setattr__(self, "points", pts)
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self.points)}
+
     def __contains__(self, label: str) -> bool:
-        return label in self.points
+        return label in self._index
 
     def __iter__(self):
         return iter(self.points)
@@ -60,48 +67,66 @@ class FiniteSpace:
         return len(self.points)
 
     def index(self, label: str) -> int:
-        return self.points.index(label)
+        try:
+            return self._index[label]
+        except KeyError:
+            raise DomainMismatchError(f"{label!r} is not a point of the space") from None
 
 
 @dataclass(frozen=True)
 class FiniteDistribution:
-    """An exact probability mass function on a FiniteSpace."""
+    """An exact probability mass function on a FiniteSpace.
+
+    Only the support is stored: mass maps each point of positive mass to
+    it, in canonical order, and every other point of the space has mass 0.
+    Explicit zeros given at construction are dropped, so they do not
+    affect equality or hashing.
+    """
 
     space: FiniteSpace
     mass: Mapping[str, Fraction] = field(compare=False)
-    _masses: tuple[Fraction, ...] = field(init=False)
 
     def __init__(self, space: FiniteSpace, mass: Mapping[str, object]):
-        for label in mass:
-            if label not in space:
+        index = space._index
+        positive = []
+        total = ZERO
+        for label, value in mass.items():
+            if label not in index:
                 raise DomainMismatchError(f"mass assigned to unknown point {label!r}")
-        masses = tuple(_as_fraction(mass.get(x, ZERO)) for x in space)
-        if any(m < 0 for m in masses):
-            raise DomainMismatchError("negative mass")
-        if sum(masses) != ONE:
-            raise DomainMismatchError(f"masses sum to {sum(masses)}, not 1")
+            m = _as_fraction(value)
+            if m < 0:
+                raise DomainMismatchError("negative mass")
+            if m:
+                positive.append((index[label], label, m))
+                total += m
+        if total != ONE:
+            raise DomainMismatchError(f"masses sum to {total}, not 1")
+        positive.sort()
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mass", {x: m for x, m in zip(space, masses)})
-        object.__setattr__(self, "_masses", masses)
+        object.__setattr__(self, "mass", {x: m for _, x, m in positive})
 
     def __call__(self, label: str) -> Fraction:
+        m = self.mass.get(label)
+        if m is not None:
+            return m
         if label not in self.space:
             raise DomainMismatchError(f"{label!r} is not a point of the space")
-        return self.mass[label]
+        return ZERO
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteDistribution):
             return NotImplemented
-        return self.space == other.space and self._masses == other._masses
+        return self.space == other.space and self.mass == other.mass
 
     def __hash__(self):
-        return hash((self.space, self._masses))
+        return hash((self.space, tuple(self.mass.items())))
 
     def support(self) -> tuple[str, ...]:
-        return tuple(x for x in self.space if self.mass[x] > 0)
+        return tuple(self.mass)
 
     def items(self):
-        return ((x, self.mass[x]) for x in self.space)
+        """(point, mass) over the support, in canonical order."""
+        return self.mass.items()
 
 
 def uniform(space: FiniteSpace) -> FiniteDistribution:
@@ -213,17 +238,17 @@ def deterministic_kernel(
 
 
 def kernel_apply(s: StochasticKernel, q: FiniteDistribution) -> FiniteDistribution:
-    """q viewed as a kernel from a one-point space, composed with s."""
+    """q viewed as a kernel from a one-point space, composed with s.
+
+    Only q's support and each used row's support are visited, so the cost
+    is the number of nonzero products, not |source| * |target|.
+    """
     if q.space != s.source:
         raise DomainMismatchError("distribution space does not match kernel source")
-    out = {x: ZERO for x in s.target}
-    for y in s.source:
-        qy = q(y)
-        if qy == 0:
-            continue
-        row = s(y)
-        for x in s.target:
-            out[x] += qy * row(x)
+    out: dict[str, Fraction] = {}
+    for y, qy in q.items():
+        for x, m in s.rows[y].items():
+            out[x] = out.get(x, ZERO) + qy * m
     return FiniteDistribution(s.target, out)
 
 

@@ -19,10 +19,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .entropy import INF, LocalReDecomposition, convex_decompose, re_fin
+from .entropy import (
+    INF,
+    LocalReDecomposition,
+    _ln_fraction,
+    convex_decompose,
+    kl_divergence,
+    re_fin,
+)
 from .errors import DomainMismatchError, IndeterminateScoreError
 from .finite import FiniteDistribution, FiniteSpace, StochasticKernel, pushforward
-from .pairs import CoherentPair, singleton_pair
+from .pairs import CoherentPair
 
 
 @dataclass(frozen=True)
@@ -69,20 +76,21 @@ def empirical_log_score(log: Sequence[ForecastRecord]) -> ScoreReport:
             raise DomainMismatchError(f"duplicate round {rec.round}")
         seen.add(rec.round)
         mass = rec.forecast(rec.outcome)
-        score = INF if mass == 0 else -_ln(mass)
+        score = INF if mass == 0 else -_ln_fraction(mass)
         rows.append((rec.round, score))
     return ScoreReport(next(iter(names)), tuple(rows))
 
 
-def _ln(x: Fraction) -> float:
-    return math.log(x.numerator) - math.log(x.denominator)
-
-
 def kl_score(truth: FiniteDistribution, forecast: FiniteDistribution) -> float:
-    """Distributional score: relative entropy of the singleton-target pair."""
+    """Distributional score: relative entropy of the singleton-target pair.
+
+    That pair's hypothesis applied to the point mass on its one target
+    point is the forecast itself, so its relative entropy is
+    KL(truth || forecast), computed here directly.
+    """
     if truth.space != forecast.space:
         raise DomainMismatchError("truth and forecast live on different spaces")
-    return re_fin(singleton_pair(truth, forecast)).value
+    return kl_divergence(truth, forecast)
 
 
 def conditional_score(joint_pair: CoherentPair) -> LocalReDecomposition:

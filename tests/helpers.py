@@ -151,6 +151,64 @@ def rand_composable_pairs(
         return first, second
 
 
+def rand_fiber_kernel(
+    rng: random.Random, source: FiniteSpace, target: FiniteSpace, f: dict
+) -> StochasticKernel:
+    """A kernel whose row at y is supported inside the fiber f^-1(y), given
+    with explicit zero entries: some fiber points, and one point outside
+    the fiber when there is one, are listed with mass 0."""
+    rows = {}
+    for y in source:
+        fiber = [x for x in target if f[x] == y]
+        masses = dict(zip(fiber, rand_masses(rng, len(fiber))))
+        outside = [x for x in target if f[x] != y]
+        if outside:
+            masses[rng.choice(outside)] = Fraction(0)
+        rows[y] = FiniteDistribution(target, masses)
+    return StochasticKernel(source, target, rows)
+
+
+def dense_kernel_apply(s: StochasticKernel, q: FiniteDistribution) -> dict:
+    """Reference s applied to q: the plain Fraction double sum over every
+    source and every target point, zero entries included."""
+    out = {x: Fraction(0) for x in s.target.points}
+    for y in s.source.points:
+        row = s.rows[y]
+        for x in s.target.points:
+            out[x] += q(y) * row(x)
+    return out
+
+
+def _ln(r: Fraction) -> float:
+    return 0.0 if r == 1 else math.log(r.numerator) - math.log(r.denominator)
+
+
+def dense_convex_decompose(pair: CoherentPair):
+    """Reference per-fiber decomposition: for each y with q(y) > 0, scan all
+    of X for the fiber's points.  Each term is one double-precision log of
+    an exact ratio, as the library documents, so the values agree exactly.
+    Returns the (y, q(y), local RE) entries and the q-weighted total."""
+    entries = []
+    for y in pair.q.space.points:
+        qy = pair.q(y)
+        if qy == 0:
+            continue
+        terms = []
+        for x in pair.p.space.points:
+            if pair.f[x] != y or pair.p(x) == 0:
+                continue
+            p_yx = pair.p(x) / qy
+            sx = pair.s(y)(x)
+            if sx == 0:
+                terms = None
+                break
+            terms.append(float(p_yx) * _ln(p_yx / sx))
+        entries.append((y, qy, INF if terms is None else max(0.0, math.fsum(terms))))
+    parts = [0.0 if local == 0 else float(qy) * local for _, qy, local in entries]
+    total = INF if INF in parts else math.fsum(parts)
+    return tuple(entries), total
+
+
 def direct_kl(p_mass: dict, q_mass: dict) -> float:
     """Independent KL oracle: plain float sum over a mass dict."""
     total = 0.0

@@ -501,6 +501,19 @@ class TestModels:
         assert trace.final == pytest.approx(want, abs=1e-9)
         assert trace.converged
 
+    def test_piecewise_keeps_its_right_end(self):
+        # the last piece is closed at hi as the first is at lo; an open
+        # right end dropped q and the ratio to 0 at hi, and the quadrature
+        # then bisected a phantom crossing for every edge below 0.5
+        model = piecewise_constant_model(
+            [(0.0, 0.5, 1.0, 1.5), (0.5, 1.0, 2.0, 0.5)]
+        )
+        xs = np.array([np.nextafter(1.0, 0.0), 1.0])
+        assert model.base_density(xs).tolist() == [2.0, 2.0]
+        assert model.ratio(xs).tolist() == [0.5, 0.5]
+        beyond = np.array([np.nextafter(1.0, 2.0)])
+        assert model.ratio(beyond).tolist() == [0.0]
+
     def test_piecewise_rejects_overlap(self):
         with pytest.raises(DomainMismatchError):
             piecewise_constant_model([(0.0, 0.6, 1.0, 1.0), (0.5, 1.0, 1.0, 1.0)])

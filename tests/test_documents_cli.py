@@ -6,10 +6,15 @@ tolerance, 4 indeterminate arithmetic.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import kernelflow
 from kernelflow.cli import main
 from kernelflow.documents import (
     parse_distribution,
@@ -171,6 +176,21 @@ class TestMorphismDocuments:
             parse_morphism(bad)
         assert "sum" in str(err.value)
 
+    def test_distribution_errors_name_what_failed(self):
+        cases = [
+            (COIN_DOC.replace("s H HT 1/3", "s H HT 1/2"), "s row 'H': masses sum to 7/6, not 1"),
+            (COIN_DOC.replace("p TT 1/4", "p ZZ 1/4"), "p: mass assigned to unknown point 'ZZ'"),
+            (COIN_DOC + "q H 1/2\nq T 1/3\n", "q: masses sum to 5/6, not 1"),
+        ]
+        for text, message in cases:
+            with pytest.raises(DocumentParseError) as err:
+                parse_morphism(text)
+            assert message in str(err.value)
+        with pytest.raises(DocumentParseError) as err:
+            parse_forecast_log(FORECAST_LOG.replace("2/3 1/3", "2/3 1/2"))
+        assert err.value.line == 3
+        assert "forecast: masses sum to 7/6, not 1" in str(err.value)
+
     def test_missing_row(self):
         bad = COIN_DOC.replace("s T TH 1/3\n", "").replace("s T TT 2/3\n", "")
         with pytest.raises(DocumentParseError) as err:
@@ -244,6 +264,19 @@ class TestValidateCommand:
         assert code == 1
         assert "coherent: no" in out
         assert "'u'" in out and "'b'" in out
+
+    def test_declared_q_mismatch_lists_every_violation(self, capsys, tmp_path):
+        doc = tmp_path / "declared.txt"
+        doc.write_text(VIOLATION_DOC + "q u 1/3\nq v 2/3\n")
+        code, out, _ = run(capsys, "validate", str(doc))
+        assert code == 1
+        assert out == (
+            "coherent: no\n"
+            "absolutely coherent: no\n"
+            "violation: pushforward mismatch at 'u': expected 1/3, got 1/2\n"
+            "violation: pushforward mismatch at 'v': expected 2/3, got 1/2\n"
+            "violation: hypothesis row at 'u' puts mass on 'b' outside the fiber\n"
+        )
 
     def test_parse_failure(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -350,6 +383,22 @@ class TestEstimateKlCommand:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
         assert "mu1 sigma1 mu2 sigma2" in err
+
+    def test_overflowing_ratio_is_a_clean_error(self):
+        # q underflows to 0 where the ratio overflows to inf; numpy's
+        # RuntimeWarning used to reach stderr ahead of the error line.  A
+        # child process shows stderr as a shell user sees it.
+        src = str(Path(kernelflow.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "kernelflow.cli", "estimate-kl", "gaussian",
+             "0", "1", "0", "0.1", "--truncate", "-40", "40", "--nmax", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Warning" not in proc.stderr
 
     def test_mc_requires_seed(self, capsys):
         code, _, err = run(

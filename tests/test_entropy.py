@@ -38,11 +38,14 @@ from kernelflow.pairs import (
 )
 
 from helpers import (
+    dense_convex_decompose,
     direct_kl,
     direct_re,
     rand_coherent_pair,
     rand_composable_pairs,
     rand_distribution,
+    rand_fiber_kernel,
+    rand_map,
     rand_space,
 )
 
@@ -224,6 +227,26 @@ class TestConvexDecompose:
             assert dec.total == pytest.approx(want, abs=1e-13)
 
 
+class TestDecomposeAgainstDenseReference:
+    @given(seeds)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, seed):
+        # p and the hypothesis rows carry zero entries, so some fibers are
+        # q-null and some local values are infinite
+        rng = random.Random(seed)
+        xs = rand_space(rng, 12, "x")
+        ys = rand_space(rng, min(5, len(xs)), "y")
+        f = rand_map(rng, xs, ys, onto=True)
+        p = rand_distribution(xs, rng)
+        pair = CoherentPair(f, rand_fiber_kernel(rng, ys, xs, f), p)
+        dec = convex_decompose(pair)
+        entries, total = dense_convex_decompose(pair)
+        assert dec.entries == entries
+        assert dec.total == total
+        for y, _, local in entries:
+            assert local_re(pair, y) == local
+
+
 class TestFunctoriality:
     def test_both_optimal(self):
         rng = random.Random(2)
@@ -304,6 +327,19 @@ class TestLsc:
     def test_empty_list(self):
         with pytest.raises(DomainMismatchError):
             check_lsc_on_sequence(two_point("1/2", "1/4"), [])
+
+    def test_early_terms_below_the_target_do_not_count(self):
+        # hypotheses 1/4 - 1/n converge to the target's 1/4 with RE above
+        # the target's; the first three terms, at 1/3, sit below it
+        target = two_point("1/2", "1/4")
+        approximants = [two_point("1/2", "1/3")] * 3 + [
+            two_point("1/2", Fraction(1, 4) - Fraction(1, n)) for n in range(8, 30)
+        ]
+        value = re_fin(target).value
+        assert re_fin(approximants[0]).value < value - 1e-3
+        check = check_lsc_on_sequence(target, approximants)
+        assert check.satisfied
+        assert check.liminf_est == re_fin(approximants[-1]).value
 
 
 class TestScaledFunctor:

@@ -22,7 +22,13 @@ from kernelflow.finite import (
     uniform,
 )
 
-from helpers import rand_distribution, rand_map, rand_space
+from helpers import (
+    dense_kernel_apply,
+    rand_distribution,
+    rand_fiber_kernel,
+    rand_map,
+    rand_space,
+)
 
 AB = FiniteSpace(("a", "b"))
 UV = FiniteSpace(("u", "v"))
@@ -60,6 +66,36 @@ class TestSpacesAndDistributions:
         d = dist(AB, a="1/3", b="2/3")
         assert d.support() == ("a", "b")
         assert dirac("a", AB).support() == ("a",)
+
+    def test_explicit_zeros_equal_omitted_ones(self):
+        sp = FiniteSpace(("a", "b", "c"))
+        given_zeros = dist(sp, a="1/2", b="0", c="1/2")
+        omitted = dist(sp, a="1/2", c="1/2")
+        assert given_zeros == omitted
+        assert hash(given_zeros) == hash(omitted)
+        assert given_zeros("b") == 0
+        assert given_zeros.support() == ("a", "c")
+        assert list(given_zeros.items()) == [("a", Fraction(1, 2)), ("c", Fraction(1, 2))]
+        assert dist(sp, a="1") != dist(sp, b="1")
+
+    def test_support_keeps_canonical_order(self):
+        sp = FiniteSpace(("c", "a", "b"))
+        d = FiniteDistribution(sp, {"b": Fraction(1, 2), "c": Fraction(1, 4), "a": Fraction(1, 4)})
+        assert d.support() == ("c", "a", "b")
+        assert [x for x, _ in d.items()] == ["c", "a", "b"]
+
+    def test_unknown_label_raises(self):
+        sp = FiniteSpace(("a", "b", "c"))
+        assert sp.index("c") == 2
+        assert "z" not in sp
+        with pytest.raises(DomainMismatchError):
+            sp.index("z")
+        with pytest.raises(DomainMismatchError):
+            uniform(sp)("z")
+        with pytest.raises(DomainMismatchError):
+            FiniteDistribution(sp, {"a": Fraction(1, 2), "z": Fraction(1, 2)})
+        with pytest.raises(DomainMismatchError):
+            FiniteDistribution(sp, {"a": Fraction(1), "z": Fraction(0)})
 
 
 class TestPushforward:
@@ -232,3 +268,38 @@ class TestDisintegration:
         p = rand_distribution(space, rng)
         dis = disintegrate(p, f, target)
         assert kernel_apply(dis.kernel, pushforward(p, f, target)) == p
+
+
+class TestSparseAgainstDenseReference:
+    """kernel_apply visits only supports; the reference sums every entry."""
+
+    @staticmethod
+    def fiber_instance(rng):
+        xs = rand_space(rng, 12, "x")
+        ys = rand_space(rng, min(5, len(xs)), "y")
+        f = rand_map(rng, xs, ys, onto=True)
+        return xs, ys, f, rand_fiber_kernel(rng, ys, xs, f)
+
+    @given(seeds)
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_apply_matches_reference(self, seed):
+        rng = random.Random(seed)
+        xs, ys, _, s = self.fiber_instance(rng)
+        q = rand_distribution(ys, rng)  # zero entries included
+        out = kernel_apply(s, q)
+        want = dense_kernel_apply(s, q)
+        assert [out(x) for x in xs] == [want[x] for x in xs]
+        assert out.support() == tuple(x for x in xs if want[x] > 0)
+
+    @given(seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_kleisli_compose_matches_reference(self, seed):
+        rng = random.Random(seed)
+        xs, ys, _, s = self.fiber_instance(rng)
+        zs = rand_space(rng, min(4, len(ys)), "z")
+        g = rand_map(rng, ys, zs, onto=True)
+        t = rand_fiber_kernel(rng, zs, ys, g)
+        st_ = kleisli_compose(s, t)
+        for z in zs:
+            want = dense_kernel_apply(s, t(z))
+            assert [st_(z)(x) for x in xs] == [want[x] for x in xs]
