@@ -45,7 +45,6 @@ def main() -> None:
     trace = estimate_kl(
         heavy, n_max=10, stop_tol=1e-3,
         integrator=IntegratorSpec(kind="mc", seed=20240817, samples=200_000),
-        validate=False,
     )
     show(trace)
     print("  every level is a lower bound; the ladder keeps climbing.")

@@ -15,9 +15,11 @@ ratio is monotone, locates every crossing of a cell edge inside them by
 bisection on the ratio, and integrates q and q * ratio between consecutive
 crossings with two Gauss-Legendre orders, halving an interval only while
 the orders disagree beyond a width-proportional budget or the ratio at
-its nodes or ends leaves its cell.  The Monte Carlo integrator bins
-seeded samples from q.  Both are deterministic given their full
-IntegratorSpec.
+its nodes or ends leaves its cell.  Before the level is returned, the
+integrals of q and p are checked against 1, so a model that does not
+describe two probability measures fails at level 1.  The Monte Carlo
+integrator bins seeded samples from q.  Both are deterministic given
+their full IntegratorSpec.
 """
 
 from __future__ import annotations
@@ -55,11 +57,12 @@ class DensityModel:
     """p and q on an interval, given as q's density and the ratio dp/dq.
 
     base_density and ratio must accept numpy arrays and return finite,
-    nonnegative values; quadrature and validate_model raise
-    DomainMismatchError where they do not.  For quadrature on an
-    unbounded support a truncation interval capturing all but <= 1e-10 of
-    both masses must be supplied; the leftover is folded into the boundary
-    cell and reported on the level.
+    nonnegative values, and q and p must both integrate to 1; bin_masses
+    raises DomainMismatchError where they do not (Monte Carlo checks only
+    the ratio at its samples).  For quadrature on an unbounded support a
+    truncation interval capturing all but <= 1e-10 of both masses must be
+    supplied; the leftover is folded into the boundary cell and reported
+    on the level.
     """
 
     name: str
@@ -80,38 +83,6 @@ class DensityModel:
         if self.truncation is not None:
             return self.truncation
         return (lo, hi)
-
-
-def validate_model(model: DensityModel, grid_points: int = 1_000_001) -> tuple[float, float]:
-    """Check that q and p both integrate to 1 over the working interval.
-
-    Returns the two integrals; raises if either is off by more than 1e-6
-    (plus the 1e-10 truncation allowance), or if q, the ratio or their
-    product is negative or not finite anywhere on the grid.
-    """
-    lo, hi = model.quad_interval()
-    xs, w = _midpoint_grid(lo, hi, grid_points)
-    q = _checked(model, xs, "base density", lambda: model.base_density(xs))
-    r = _checked(model, xs, "ratio", lambda: model.ratio(xs))
-    p = _checked(model, xs, "ratio * base density", lambda: q * r)
-    q_int = float(np.sum(q) * w)
-    p_int = float(np.sum(p) * w)
-    tol = _MODEL_VALIDATION_TOL + 1e-10
-    if abs(q_int - 1.0) > tol:
-        raise DomainMismatchError(
-            f"model {model.name!r}: base density integrates to {q_int:.9g}, not 1"
-        )
-    if abs(p_int - 1.0) > tol:
-        raise DomainMismatchError(
-            f"model {model.name!r}: ratio * base density integrates to {p_int:.9g}, not 1"
-        )
-    return q_int, p_int
-
-
-def _midpoint_grid(lo: float, hi: float, points: int) -> tuple[np.ndarray, float]:
-    w = (hi - lo) / points
-    xs = lo + (np.arange(points) + 0.5) * w
-    return xs, w
 
 
 @dataclass(frozen=True)
@@ -184,12 +155,19 @@ def bin_masses(model: DensityModel, n: int, integrator: IntegratorSpec) -> Parti
     return _bin_masses_quad(model, n, integrator)
 
 
+def validate_model(model: DensityModel) -> tuple[float, float]:
+    """The integrals of q and p over the working interval, before folding,
+    from the level-1 quadrature, which raises if the model breaks its contract."""
+    level = _bin_masses_quad(model, 1, IntegratorSpec())
+    return float(level.q_mass.sum()) - level.folded_q, float(level.p_mass.sum()) - level.folded_p
+
+
 def _bin_masses_mc(model: DensityModel, n: int, spec: IntegratorSpec) -> PartitionLevel:
     if model.sampler is None:
         raise DomainMismatchError(f"model {model.name!r} has no sampler for Monte Carlo")
     rng = np.random.default_rng(spec.seed)
-    xs = model.sampler(rng, spec.samples)
-    r = model.ratio(np.asarray(xs, dtype=float))
+    xs = np.asarray(model.sampler(rng, spec.samples), dtype=float)
+    r = _checked(model, xs, "ratio", lambda: model.ratio(xs))
     cells = _cell_of(r, n)
     nc = cell_count(n)
     q_mass = np.bincount(cells, minlength=nc).astype(float) / spec.samples
@@ -216,6 +194,14 @@ def _bin_masses_quad(model: DensityModel, n: int, spec: IntegratorSpec) -> Parti
 
     np.maximum(q_mass, 0.0, out=q_mass)
     np.maximum(p_mass, 0.0, out=p_mass)
+    # q and p are probability measures; a truncation may leave out 1e-10
+    tol = _MODEL_VALIDATION_TOL + 1e-10 + err
+    for what, mass in (("base density", q_mass), ("ratio * base density", p_mass)):
+        total = float(mass.sum())
+        if abs(total - 1.0) > tol:
+            raise DomainMismatchError(
+                f"model {model.name!r}: {what} integrates to {total:.9g}, not 1"
+            )
 
     folded_q = folded_p = 0.0
     s_lo, s_hi = model.support
@@ -443,19 +429,17 @@ def estimate_kl(
     n_max: int,
     stop_tol: float,
     integrator: IntegratorSpec,
-    validate: bool = True,
 ) -> KlTrace:
     """Run the refinement ladder until the estimate settles or n_max.
 
     Stops early after two consecutive sub-tolerance increments; the trace
-    of lower bounds is nondecreasing up to integration error.
+    of lower bounds is nondecreasing up to integration error.  Level 1
+    checks the model contract as every level of bin_masses does.
     """
     if n_max < 1:
         raise DomainMismatchError("n_max must be >= 1")
     if stop_tol <= 0:
         raise DomainMismatchError("stop_tol must be positive")
-    if validate and integrator.kind == "quad":
-        validate_model(model)
     rows: list[tuple[int, float, int, float]] = []
     prev = None
     small_steps = 0

@@ -29,7 +29,7 @@ from .errors import (
     KernelflowError,
 )
 from .pairs import compose_pairs, is_absolutely_coherent
-from .scoring import empirical_log_score, sequential_scores
+from .scoring import empirical_log_score, kl_score, sequential_scores
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -46,10 +46,6 @@ def _fmt(x: float) -> str:
     if x == 0:
         return "0"
     return f"{x:.9g}"
-
-
-def _fmt_fraction(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 def _read(path: str) -> str:
@@ -101,7 +97,7 @@ def cmd_decompose(args) -> int:
     pair = _load_pair(args.path)
     decomposition = convex_decompose(pair)
     for y, weight, local in decomposition.entries:
-        print(f"{y}: q = {_fmt_fraction(weight)}, local RE = {_fmt(local)}")
+        print(f"{y}: q = {documents.format_fraction(weight)}, local RE = {_fmt(local)}")
     direct = re_fin(pair).value
     print(f"total = {_fmt(decomposition.total)}")
     print(f"re_fin cross-check = {_fmt(direct)}")
@@ -164,8 +160,9 @@ def cmd_score(args) -> int:
         decomposition = convex_decompose(pair)
         rows = []
         for y, weight, local in decomposition.entries:
-            print(f"scenario {y}: q = {_fmt_fraction(weight)}, score = {_fmt(local)}")
-            rows.append({"scenario": y, "q": _fmt_fraction(weight), "score": local})
+            q = documents.format_fraction(weight)
+            print(f"scenario {y}: q = {q}, score = {_fmt(local)}")
+            rows.append({"scenario": y, "q": q, "score": local})
         print(f"total = {_fmt(decomposition.total)}")
         summary.update(scenarios=rows, total=decomposition.total)
     elif args.mode == "empirical":
@@ -197,8 +194,6 @@ def cmd_score(args) -> int:
         for rec, score in zip(records, scores):
             print(f"round {rec.round}, {rec.forecaster}: {_fmt(score)}")
         if all(math.isfinite(s) for s in scores):
-            from .scoring import kl_score
-
             telescoped = math.fsum(scores[1:])
             direct = kl_score(truth, forecasts[0]) - kl_score(truth, forecasts[-1])
             print(f"telescoped check: {_fmt(telescoped)} vs {_fmt(direct)}")

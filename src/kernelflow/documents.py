@@ -34,7 +34,7 @@ def _fraction(token: str, lineno: int) -> Fraction:
     return f
 
 
-def _format_fraction(f: Fraction) -> str:
+def format_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -45,11 +45,16 @@ def _space(points, lineno: int) -> FiniteSpace:
         raise DocumentParseError(str(exc), lineno)
 
 
-def _distribution(space: FiniteSpace, raw, what: str, lineno: int) -> FiniteDistribution:
-    """The distribution of raw masses, or a parse error naming what failed."""
+def _distribution(
+    space: FiniteSpace, raw, what: str, lineno: int, line_of=None
+) -> FiniteDistribution:
+    """The distribution of raw masses, or a parse error naming what failed,
+    at lineno or, for a point outside the space, at line_of(point) if given."""
     try:
         return FiniteDistribution(space, raw)
     except DomainMismatchError as exc:
+        if line_of is not None:
+            lineno = next((line_of(x) for x in raw if x not in space), lineno)
         raise DocumentParseError(f"{what}: {exc}", lineno)
 
 
@@ -110,6 +115,9 @@ def parse_morphism(text: str) -> MorphismDocument:
     q_raw: dict[str, Fraction] = {}
     f_map: dict[str, str] = {}
     s_raw: dict[str, dict[str, Fraction]] = {}
+    # the line of each entry and of each distribution's last entry, for
+    # the errors found once the whole document is read
+    at: dict[tuple[str, ...], int] = {}
     last_line = lines[0][0]
 
     for lineno, tokens in lines[1:]:
@@ -129,6 +137,7 @@ def parse_morphism(text: str) -> MorphismDocument:
             if tokens[1] in f_map:
                 raise DocumentParseError(f"map defined twice at {tokens[1]!r}", lineno)
             f_map[tokens[1]] = tokens[2]
+            at["map", tokens[1]] = lineno
         elif kind in ("p", "q"):
             if len(tokens) != 3:
                 raise DocumentParseError(f"{kind} needs: {kind} <point> <fraction>", lineno)
@@ -136,6 +145,7 @@ def parse_morphism(text: str) -> MorphismDocument:
             if tokens[1] in target:
                 raise DocumentParseError(f"{kind}({tokens[1]!r}) given twice", lineno)
             target[tokens[1]] = _fraction(tokens[2], lineno)
+            at[kind, tokens[1]] = at[(kind,)] = lineno
         elif kind == "s":
             if len(tokens) != 4:
                 raise DocumentParseError("s needs: s <y> <x> <fraction>", lineno)
@@ -143,6 +153,7 @@ def parse_morphism(text: str) -> MorphismDocument:
             if tokens[2] in row:
                 raise DocumentParseError(f"s({tokens[1]!r}, {tokens[2]!r}) given twice", lineno)
             row[tokens[2]] = _fraction(tokens[3], lineno)
+            at["s", tokens[1], tokens[2]] = at["s", tokens[1]] = lineno
         else:
             raise DocumentParseError(f"unknown directive {kind!r}", lineno)
 
@@ -154,27 +165,30 @@ def parse_morphism(text: str) -> MorphismDocument:
     x_space = spaces[x_name][1]
     y_space = spaces[y_name][1]
 
+    def distribution(space, raw, what, *key):
+        return _distribution(space, raw, what, at[key], lambda x: at[(*key, x)])
+
     if not p_raw:
         raise DocumentParseError("missing p masses", last_line)
-    p = _distribution(x_space, p_raw, "p", last_line)
+    p = distribution(x_space, p_raw, "p", "p")
     for x in x_space:
         if x not in f_map:
             raise DocumentParseError(f"map undefined at point {x!r}", last_line)
         if f_map[x] not in y_space:
             raise DocumentParseError(
-                f"map sends {x!r} to unknown point {f_map[x]!r}", last_line
+                f"map sends {x!r} to unknown point {f_map[x]!r}", at["map", x]
             )
     rows = {}
     for y in y_space:
         raw = s_raw.get(y)
         if raw is None:
             raise DocumentParseError(f"missing hypothesis row for {y!r}", last_line)
-        rows[y] = _distribution(x_space, raw, f"s row {y!r}", last_line)
+        rows[y] = distribution(x_space, raw, f"s row {y!r}", "s", y)
     for y in s_raw:
         if y not in y_space:
-            raise DocumentParseError(f"hypothesis row for unknown point {y!r}", last_line)
+            raise DocumentParseError(f"hypothesis row for unknown point {y!r}", at["s", y])
     s = StochasticKernel(y_space, x_space, rows)
-    q = _distribution(y_space, q_raw, "q", last_line) if q_raw else None
+    q = distribution(y_space, q_raw, "q", "q") if q_raw else None
     return MorphismDocument(x_name, y_name, x_space, y_space, p, f_map, s, q)
 
 
@@ -185,15 +199,15 @@ def serialize_morphism(doc: MorphismDocument, include_q: bool = False) -> str:
     for x in doc.x_space:
         out.append(f"map {x} {doc.f[x]}")
     for x in doc.x_space:
-        out.append(f"p {x} {_format_fraction(doc.p(x))}")
+        out.append(f"p {x} {format_fraction(doc.p(x))}")
     for y in doc.y_space:
         row = doc.s(y)
         for x in doc.x_space:
             if row(x) > 0:
-                out.append(f"s {y} {x} {_format_fraction(row(x))}")
+                out.append(f"s {y} {x} {format_fraction(row(x))}")
     if include_q and doc.q is not None:
         for y in doc.y_space:
-            out.append(f"q {y} {_format_fraction(doc.q(y))}")
+            out.append(f"q {y} {format_fraction(doc.q(y))}")
     return "\n".join(out) + "\n"
 
 
@@ -203,6 +217,7 @@ def parse_distribution(text: str) -> FiniteDistribution:
         raise DocumentParseError(f"expected header {DISTRIBUTION_TAG!r}", lines[0][0] if lines else 1)
     space = None
     raw: dict[str, Fraction] = {}
+    at: dict[str, int] = {}
     last = lines[0][0]
     for lineno, tokens in lines[1:]:
         last = lineno
@@ -216,11 +231,12 @@ def parse_distribution(text: str) -> FiniteDistribution:
             if tokens[1] in raw:
                 raise DocumentParseError(f"mass({tokens[1]!r}) given twice", lineno)
             raw[tokens[1]] = _fraction(tokens[2], lineno)
+            at[tokens[1]] = lineno
         else:
             raise DocumentParseError(f"unknown directive {tokens[0]!r}", lineno)
     if space is None:
         raise DocumentParseError("missing space declaration", last)
-    return _distribution(space, raw, "distribution", last)
+    return _distribution(space, raw, "distribution", last, at.get)
 
 
 @dataclass(frozen=True)

@@ -156,18 +156,9 @@ def pushforward(
     return FiniteDistribution(target, out)
 
 
-def flatten(
-    weights: Mapping[int, object] | list, inner: list[FiniteDistribution] | None = None
-) -> FiniteDistribution:
-    """Monad multiplication: mix finitely many distributions on one space.
-
-    Accepts either flatten(weights, inner) with parallel sequences or
-    flatten(pairs) with a list of (weight, distribution) pairs.
-    """
-    if inner is None:
-        pairs = list(weights)
-    else:
-        pairs = list(zip(weights, inner))
+def flatten(pairs: Iterable[tuple[object, FiniteDistribution]]) -> FiniteDistribution:
+    """Monad multiplication: mix (weight, distribution) pairs on one space."""
+    pairs = list(pairs)
     if not pairs:
         raise DomainMismatchError("cannot flatten an empty mixture")
     space = pairs[0][1].space

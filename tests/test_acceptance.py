@@ -24,9 +24,11 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import kernelflow
 from kernelflow.borel import (
     IntegratorSpec,
     agreement_check,
@@ -375,7 +377,10 @@ def test_criterion_11_scaled_family(capsys):
 
 
 def _cli(args, threads=None):
-    env = dict(os.environ)
+    # the child imports kernelflow from this checkout, whatever PYTHONPATH
+    # the caller had; a failed import would make every run identical
+    src = str(Path(kernelflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     if threads is not None:
         env["KERNELFLOW_THREADS"] = str(threads)
     else:
@@ -402,9 +407,14 @@ def test_criterion_12_cli_determinism(capsys, tmp_path):
         ["score", str(log), "--mode", "empirical"],
     ]
     ok = True
+    runs = []
     for argv in invocations:
-        ok = ok and _cli(argv) == _cli(argv)
+        runs += [_cli(argv), _cli(argv)]
+        ok = ok and runs[-2] == runs[-1]
     # estimator output must not depend on the thread cap
     quad = invocations[0]
-    ok = ok and _cli(quad, threads=1) == _cli(quad, threads=4)
+    runs += [_cli(quad, threads=1), _cli(quad, threads=4)]
+    ok = ok and runs[-2] == runs[-1]
+    # every run got as far as printing its result
+    ok = ok and all(out and b"Traceback" not in err for _, out, err in runs)
     report(capsys, 12, "repeated CLI runs byte-identical, thread cap output-invariant", ok)

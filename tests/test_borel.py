@@ -9,6 +9,7 @@ densities numerically), which keeps the comparison honest.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -393,7 +394,7 @@ class TestEstimateKl:
             sampler=lambda rng, size: rng.exponential(1.0, size),
         )
         spec = IntegratorSpec(kind="mc", seed=20240817, samples=200_000)
-        trace = estimate_kl(model, 12, 1e-3, spec, validate=False)
+        trace = estimate_kl(model, 12, 1e-3, spec)
         assert not trace.converged
         kls = [kl for _, kl, _, _ in trace.levels]
         assert all(b > a for a, b in zip(kls, kls[1:]))  # strictly climbing
@@ -462,7 +463,7 @@ class TestModels:
         with pytest.raises(DomainMismatchError, match="not a finite"):
             bin_masses(model, 1, QUAD)
         with pytest.raises(DomainMismatchError, match="not a finite"):
-            estimate_kl(model, 2, 1e-6, QUAD, validate=False)
+            estimate_kl(model, 2, 1e-6, QUAD)
 
     def test_negative_model_output_rejected(self):
         reaches_zero = DensityModel(
@@ -482,6 +483,46 @@ class TestModels:
             validate_model(flipped)
         with pytest.raises(DomainMismatchError, match="not a finite"):
             bin_masses(flipped, 2, QUAD)
+
+    def test_short_truncation_rejected_by_bin_masses(self):
+        # (-2, 2) leaves 0.16 of q = N(1, 1) outside, far past the 1e-10
+        # allowance; folded into a boundary cell it would give a wrong KL
+        model = gaussian_model(0, 1, 1, 1, truncation=(-2.0, 2.0))
+        with pytest.raises(DomainMismatchError, match="base density integrates to 0.8399"):
+            bin_masses(model, 3, QUAD)
+        with pytest.raises(DomainMismatchError, match="base density integrates to 0.8399"):
+            validate_model(model)
+
+    def test_validate_model_reports_unfolded_integrals(self):
+        # (-6.5, 6.5) leaves 8.0e-11 of q = p = N(0, 1) outside, within the
+        # allowance; bin_masses folds it in, validate_model reports it
+        model = gaussian_model(0, 1, 0, 1, truncation=(-6.5, 6.5))
+        inside = 1.0 - math.erfc(6.5 / math.sqrt(2))
+        assert validate_model(model) == pytest.approx((inside, inside), abs=1e-13)
+        level = bin_masses(model, 1, QUAD)
+        assert level.folded_q == pytest.approx(1.0 - inside, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [(lambda x: np.where(x > 0.5, np.nan, 1.0), "nan"),
+         (lambda x: np.where(x > 0.5, -1.0, 3.0), "-1.0")],
+        ids=["nan", "negative"],
+    )
+    def test_mc_rejects_bad_ratio(self, bad, shown):
+        model = DensityModel(
+            name="bad-ratio",
+            base_density=lambda x: np.ones_like(x),
+            ratio=bad,
+            support=(0.0, 1.0),
+            sampler=lambda rng, size: rng.uniform(0.0, 1.0, size),
+        )
+        spec = IntegratorSpec(kind="mc", seed=5, samples=1000)
+        with pytest.raises(DomainMismatchError) as info:
+            bin_masses(model, 2, spec)
+        # the message names the offending value and a sample where it occurs
+        found = re.search(r"ratio is (\S+) at x = (\S+),", str(info.value))
+        assert found is not None and found[1] == shown
+        assert 0.5 < float(found[2]) < 1.0
 
     def test_parameter_validation(self):
         with pytest.raises(DomainMismatchError):

@@ -191,6 +191,31 @@ class TestMorphismDocuments:
         assert err.value.line == 3
         assert "forecast: masses sum to 7/6, not 1" in str(err.value)
 
+    def test_distribution_errors_carry_the_entry_line(self):
+        # an unknown point is reported at its own line, a wrong sum at the
+        # last line of that distribution, not at the document's last line
+        with_q = COIN_DOC.replace("s H HH 2/3", "q H 1/2\nq T 1/3\ns H HH 2/3")
+        extra_row = COIN_DOC.replace("s H HT 1/3", "s H HT 1/3\ns Z TH 1")
+        cases = [
+            (COIN_DOC.replace("p TH 1/4", "p ZZ 1/4"), 10, "p: mass assigned to unknown"),
+            (COIN_DOC.replace("p HT 1/4", "p HT 1/3"), 11, "p: masses sum to"),
+            (COIN_DOC.replace("s H HH 2/3", "s H HH 1/2"), 13, "s row 'H': masses sum to"),
+            (COIN_DOC.replace("s T TH 1/3", "s T ZZ 1/3"), 14, "s row 'T': mass assigned to"),
+            (with_q, 13, "q: masses sum to 5/6"),
+            (with_q.replace("q H 1/2", "q Z 1/2"), 12, "q: mass assigned to unknown"),
+            (COIN_DOC.replace("map TH T", "map TH Z"), 6, "map sends 'TH' to unknown"),
+            (extra_row, 14, "row for unknown point 'Z'"),
+        ]
+        for text, line, message in cases:
+            with pytest.raises(DocumentParseError) as err:
+                parse_morphism(text)
+            assert err.value.line == line, (message, str(err.value))
+            assert message in str(err.value)
+        with pytest.raises(DocumentParseError) as err:
+            parse_distribution(TRUTH_DOC.replace("mass H", "mass Z"))
+        assert err.value.line == 3
+        assert "distribution: mass assigned to unknown point 'Z'" in str(err.value)
+
     def test_missing_row(self):
         bad = COIN_DOC.replace("s T TH 1/3\n", "").replace("s T TT 2/3\n", "")
         with pytest.raises(DocumentParseError) as err:
