@@ -286,20 +286,36 @@ def _crossings(model: DensityModel, a, b, r_a, r_b, n: int):
     The edges crossed in a monotone panel are j 2^-n for j above the lower
     end cell up to the upper one (j = n 2^n is the tail edge n).  Each is
     bracketed by bisection on the ratio alone until the bracket ends are
-    adjacent floats.  Returns the right bracket ends and, as error, each
-    bracket's width times the larger q + p at its ends.
+    adjacent floats, _CHUNK crossings at a time to bound memory.  Returns
+    the right bracket ends and, as error, each bracket's width times the
+    larger q + p at its ends.
     """
     c_a, c_b = _cell_of(r_a, n), _cell_of(r_b, n)
+    rising = c_b > c_a
     count = np.abs(c_b - c_a)
     total = int(count.sum())
     _require_room(total, n)
     panel = np.repeat(np.arange(a.size), count)
     first = np.minimum(c_a, c_b)[panel] + 1
     j = first + np.arange(total) - np.repeat(np.cumsum(count) - count, count)
-    edge = j * 2.0**-n
-    rising = (c_b > c_a)[panel]
-    left, right = a[panel], b[panel]
-    live = np.arange(total)
+    cuts = np.empty(total)
+    err = 0.0
+    for s in range(0, total, _CHUNK):
+        block = panel[s:s + _CHUNK]
+        left, right = _bisect(model, a[block], b[block], j[s:s + _CHUNK] * 2.0**-n, rising[block])
+        ends = np.stack([left, right])
+        q = _checked(model, ends, "base density", lambda: model.base_density(ends))
+        p = _checked(model, ends, "ratio * base density", lambda: q * model.ratio(ends))
+        err += float(np.sum((right - left) * (q + p).max(axis=0)))
+        cuts[s:s + _CHUNK] = right
+    return cuts, err
+
+
+def _bisect(model: DensityModel, left, right, edge, rising):
+    """The brackets [left, right] of the points where the ratio crosses
+    each edge, rising or falling, halved until their ends are adjacent
+    floats (at most _BISECT_ROUNDS times).  Overwrites left and right."""
+    live = np.arange(left.size)
     lo, hi = left, right
     for _ in range(_BISECT_ROUNDS):
         mid = 0.5 * (lo + hi)
@@ -317,10 +333,7 @@ def _crossings(model: DensityModel, a, b, r_a, r_b, n: int):
         lo = np.where(past, lo, mid)
         hi = np.where(past, mid, hi)
     left[live], right[live] = lo, hi
-    ends = np.stack([left, right])
-    q = _checked(model, ends, "base density", lambda: model.base_density(ends))
-    p = _checked(model, ends, "ratio * base density", lambda: q * model.ratio(ends))
-    return right, float(np.sum((right - left) * (q + p).max(axis=0)))
+    return left, right
 
 
 def _integrate(model: DensityModel, breaks, n: int, rel_tol: float, q_mass, p_mass) -> float:

@@ -1,10 +1,13 @@
 """Line-oriented text documents for morphisms, distributions and forecast logs.
 
-All numbers are exact fraction strings ("num/den"); no floats ever appear
-in input documents.  Serialization is canonical: fixed section order,
-canonical point order, every fraction written with an explicit
-denominator.  Parsing a canonicalized document and serializing it again is
-byte-identical.
+A mass is read exactly, as `fractions.Fraction` reads a string: "3/4",
+"2", "0.25" and "1e-2" all parse, and a negative mass is an error.  The
+common case, unsigned digits with an optional "/digits" denominator, is
+parsed with two int() calls; every other token goes through
+Fraction(token), so both paths give the same value or the same error.
+Serialization is canonical: fixed section order, canonical point order,
+every fraction written as "num/den" in lowest terms.  Parsing a
+canonicalized document and serializing it again is byte-identical.
 """
 
 from __future__ import annotations
@@ -25,7 +28,11 @@ PIECEWISE_TAG = "piecewise v1"
 
 
 def _fraction(token: str, lineno: int) -> Fraction:
+    num, slash, den = token.partition("/")
     try:
+        if num.isdecimal() and (den.isdecimal() or not slash):
+            # unsigned digits: two int() calls, and no sign to check
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         f = Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise DocumentParseError(f"not a fraction: {token!r}", lineno)

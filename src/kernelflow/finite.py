@@ -7,6 +7,7 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -89,17 +90,23 @@ class FiniteDistribution:
     def __init__(self, space: FiniteSpace, mass: Mapping[str, object]):
         index = space._index
         positive = []
-        total = ZERO
+        nums, dens = [], []
         for label, value in mass.items():
             if label not in index:
                 raise DomainMismatchError(f"mass assigned to unknown point {label!r}")
             m = _as_fraction(value)
-            if m < 0:
+            num = m.numerator
+            if num < 0:
                 raise DomainMismatchError("negative mass")
-            if m:
+            if num:
                 positive.append((index[label], label, m))
-                total += m
-        if total != ONE:
+                nums.append(num)
+                dens.append(m.denominator)
+        # the masses sum to 1 when their numerators over the common
+        # denominator sum to it: int products instead of Fraction additions
+        common = math.lcm(*dens)
+        if sum(num * (common // den) for num, den in zip(nums, dens)) != common:
+            total = sum((m for _, _, m in positive), ZERO)
             raise DomainMismatchError(f"masses sum to {total}, not 1")
         positive.sort()
         object.__setattr__(self, "space", space)

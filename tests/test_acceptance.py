@@ -376,15 +376,13 @@ def test_criterion_11_scaled_family(capsys):
            ok, f"worst {worst1:.2g}/{worst2:.2g}/{worst3:.2g}")
 
 
-def _cli(args, threads=None):
+def _cli(args, hash_seed=None):
     # the child imports kernelflow from this checkout, whatever PYTHONPATH
     # the caller had; a failed import would make every run identical
     src = str(Path(kernelflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    if threads is not None:
-        env["KERNELFLOW_THREADS"] = str(threads)
-    else:
-        env.pop("KERNELFLOW_THREADS", None)
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     proc = subprocess.run(
         [sys.executable, "-m", "kernelflow.cli", *args],
         capture_output=True,
@@ -398,6 +396,9 @@ def test_criterion_12_cli_determinism(capsys, tmp_path):
     log.write_text(
         "forecast-log v1\noutcomes H T\n"
         "forecast 1 alice H 2/3 1/3\nforecast 2 alice T 1/2 1/2\n"
+        # several forecasters, so an order that followed string hashing
+        # would show between hash seeds
+        "forecast 1 bob H 1/4 3/4\nforecast 1 carol H 1/2 1/2\nforecast 1 dave H 3/5 2/5\n"
     )
     invocations = [
         ["estimate-kl", "gaussian", "0", "1", "1", "1",
@@ -411,10 +412,11 @@ def test_criterion_12_cli_determinism(capsys, tmp_path):
     for argv in invocations:
         runs += [_cli(argv), _cli(argv)]
         ok = ok and runs[-2] == runs[-1]
-    # estimator output must not depend on the thread cap
-    quad = invocations[0]
-    runs += [_cli(quad, threads=1), _cli(quad, threads=4)]
-    ok = ok and runs[-2] == runs[-1]
+    # output must not depend on string hashing, which differs between
+    # interpreter runs unless PYTHONHASHSEED pins it
+    for argv in (invocations[0], invocations[2]):
+        runs += [_cli(argv, hash_seed=0), _cli(argv, hash_seed=1)]
+        ok = ok and runs[-2] == runs[-1]
     # every run got as far as printing its result
     ok = ok and all(out and b"Traceback" not in err for _, out, err in runs)
-    report(capsys, 12, "repeated CLI runs byte-identical, thread cap output-invariant", ok)
+    report(capsys, 12, "repeated CLI runs byte-identical, hash-seed output-invariant", ok)

@@ -179,6 +179,16 @@ class TestBinMasses:
         assert np.array_equal(a.q_mass, b.q_mass)
         assert a.err_est == b.err_est
 
+    def test_blocked_bisection_bit_identical(self, monkeypatch):
+        # each crossing is bisected on its own, so blocks of any size give
+        # the same masses; only err_est's summation order may change
+        whole = bin_masses(gauss01_11(), 6, QUAD)
+        monkeypatch.setattr("kernelflow.borel._CHUNK", 7)
+        blocked = bin_masses(gauss01_11(), 6, QUAD)
+        assert np.array_equal(whole.p_mass, blocked.p_mass)
+        assert np.array_equal(whole.q_mass, blocked.q_mass)
+        assert blocked.err_est == pytest.approx(whole.err_est, rel=1e-12)
+
     def test_mc_deterministic_and_close(self):
         spec = IntegratorSpec(kind="mc", seed=11, samples=200_000)
         model = gaussian_model(0, 1, 1, 1)

