@@ -474,9 +474,11 @@ def estimate_kl(
     return KlTrace(tuple(rows), converged, rows[-1][1])
 
 
-def agreement_check(
-    model: DensityModel, level: PartitionLevel, grid_points: int = 1_000_001
-) -> float:
+# midpoint-grid intervals of agreement_check's reference integral
+_AGREEMENT_GRID = 1_000_001
+
+
+def agreement_check(model: DensityModel, level: PartitionLevel) -> float:
     """Max deviation between stored p-masses and the simple-function model.
 
     The simple function is p_mass/q_mass on each cell; integrating it
@@ -489,10 +491,10 @@ def agreement_check(
     lo, hi = model.quad_interval()
     nc = cell_count(level.n)
     q_ref = np.zeros(nc)
-    edges = np.linspace(lo, hi, grid_points + 1)
+    edges = np.linspace(lo, hi, _AGREEMENT_GRID + 1)
     edge_cells = _cell_of(model.ratio(edges), level.n)
     straddle = edge_cells[:-1] != edge_cells[1:]
-    w = (hi - lo) / grid_points
+    w = (hi - lo) / _AGREEMENT_GRID
     mids = edges[:-1] + 0.5 * w
     q_mid = model.base_density(mids)
     plain = ~straddle

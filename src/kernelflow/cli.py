@@ -14,7 +14,6 @@ import inspect
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import documents
@@ -28,7 +27,7 @@ from .errors import (
     IntegrationToleranceError,
     KernelflowError,
 )
-from .pairs import compose_pairs, is_absolutely_coherent
+from .pairs import is_absolutely_coherent
 from .scoring import empirical_log_score, kl_score, sequential_scores
 
 EXIT_OK = 0
@@ -116,8 +115,8 @@ def cmd_estimate_kl(args) -> int:
                 f"unknown model {name!r}; known: {', '.join(sorted(MODEL_REGISTRY))}"
             )
         try:
-            values = [float(Fraction(p)) for p in params]
-        except (ValueError, ZeroDivisionError):
+            values = [documents._number(p) for p in params]
+        except ValueError:
             raise DomainMismatchError(f"model parameters must be numbers: {params}")
         required = [
             p.name
@@ -133,8 +132,6 @@ def cmd_estimate_kl(args) -> int:
     if args.truncate is not None:
         model = dataclasses.replace(model, truncation=tuple(args.truncate))
     spec = IntegratorSpec(kind=args.integrator, seed=args.seed)
-    if args.integrator == "mc" and args.seed is None:
-        raise DomainMismatchError("--integrator mc requires --seed")
 
     def show(rows):
         for n, kl, bins, err in rows:

@@ -5,6 +5,8 @@ A mass is read exactly, as `fractions.Fraction` reads a string: "3/4",
 common case, unsigned digits with an optional "/digits" denominator, is
 parsed with two int() calls; every other token goes through
 Fraction(token), so both paths give the same value or the same error.
+A morphism document's q lines are optional: the pair derives q as the
+pushforward of p, and a declared q is checked against it, not trusted.
 Serialization is canonical: fixed section order, canonical point order,
 every fraction written as "num/den" in lowest terms.  Parsing a
 canonicalized document and serializing it again is byte-identical.
@@ -14,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import DocumentParseError, DomainMismatchError, IncoherentPairError
-from .finite import FiniteDistribution, FiniteSpace, StochasticKernel, pushforward
-from .pairs import CoherentPair, validate_coherent
+from .finite import FiniteDistribution, FiniteSpace, StochasticKernel
+from .pairs import CoherenceReport, CoherentPair
 from .scoring import ForecastRecord
 
 MORPHISM_TAG = "morphism v1"
@@ -39,6 +40,15 @@ def _fraction(token: str, lineno: int) -> Fraction:
     if f < 0:
         raise DocumentParseError(f"negative mass {token!r}", lineno)
     return f
+
+
+def _number(token: str) -> float:
+    """The float nearest the exact number token; ValueError when the token
+    is not a number or lies beyond the float range."""
+    try:
+        return float(Fraction(token))
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"not a float: {token!r}") from exc
 
 
 def format_fraction(f: Fraction) -> str:
@@ -72,6 +82,15 @@ def _content_lines(text: str):
             yield lineno, line.split()
 
 
+def _document_lines(text: str, tag: str) -> list[tuple[int, list[str]]]:
+    """The (lineno, tokens) content lines of text, the first being its header,
+    which must read tag."""
+    lines = list(_content_lines(text))
+    if not lines or lines[0][1] != tag.split():
+        raise DocumentParseError(f"expected header {tag!r}", lines[0][0] if lines else 1)
+    return lines
+
+
 @dataclass(frozen=True)
 class MorphismDocument:
     """Parsed morphism data, before coherence validation."""
@@ -83,38 +102,22 @@ class MorphismDocument:
     p: FiniteDistribution
     f: dict[str, str]
     s: StochasticKernel
-    q: FiniteDistribution | None  # declared, optional; always recomputed
-
-    @cached_property
-    def pushed(self) -> FiniteDistribution:
-        """The pushforward of p along f: the q of every coherent pair."""
-        return pushforward(self.p, self.f, self.y_space)
+    q: FiniteDistribution | None  # declared, optional; checked against f_*p
 
     def to_pair(self) -> CoherentPair:
-        """Build the validated pair; raises IncoherentPairError on failure.
+        """Build the validated pair; raises IncoherentPairError on failure."""
+        return CoherentPair(self.f, self.s, self.p, self.q)
 
-        A declared q that is not the pushforward fails with the violations
-        that validate() reports against it.
-        """
-        if self.q is not None and self.q != self.pushed:
-            bad = [y for y in self.y_space if self.q(y) != self.pushed(y)]
-            raise IncoherentPairError(
-                "declared q does not match the pushforward of p at "
-                + ", ".join(repr(y) for y in bad),
-                self.validate().violations,
-            )
-        return CoherentPair(self.f, self.s, self.p, self.pushed)
-
-    def validate(self):
-        q = self.q if self.q is not None else self.pushed
-        return validate_coherent(self.f, self.s, self.p, q)
+    def validate(self) -> CoherenceReport:
+        """The coherence report of the pair, every violation listed."""
+        try:
+            return self.to_pair().report
+        except IncoherentPairError as exc:
+            return CoherenceReport(False, exc.violations)
 
 
 def parse_morphism(text: str) -> MorphismDocument:
-    lines = list(_content_lines(text))
-    if not lines or lines[0][1] != MORPHISM_TAG.split():
-        lineno = lines[0][0] if lines else 1
-        raise DocumentParseError(f"expected header {MORPHISM_TAG!r}", lineno)
+    lines = _document_lines(text, MORPHISM_TAG)
 
     spaces: dict[str, tuple[int, FiniteSpace]] = {}
     space_order: list[str] = []
@@ -199,7 +202,7 @@ def parse_morphism(text: str) -> MorphismDocument:
     return MorphismDocument(x_name, y_name, x_space, y_space, p, f_map, s, q)
 
 
-def serialize_morphism(doc: MorphismDocument, include_q: bool = False) -> str:
+def serialize_morphism(doc: MorphismDocument) -> str:
     out = [MORPHISM_TAG]
     out.append(f"space {doc.x_name} " + " ".join(doc.x_space))
     out.append(f"space {doc.y_name} " + " ".join(doc.y_space))
@@ -212,16 +215,11 @@ def serialize_morphism(doc: MorphismDocument, include_q: bool = False) -> str:
         for x in doc.x_space:
             if row(x) > 0:
                 out.append(f"s {y} {x} {format_fraction(row(x))}")
-    if include_q and doc.q is not None:
-        for y in doc.y_space:
-            out.append(f"q {y} {format_fraction(doc.q(y))}")
     return "\n".join(out) + "\n"
 
 
 def parse_distribution(text: str) -> FiniteDistribution:
-    lines = list(_content_lines(text))
-    if not lines or lines[0][1] != DISTRIBUTION_TAG.split():
-        raise DocumentParseError(f"expected header {DISTRIBUTION_TAG!r}", lines[0][0] if lines else 1)
+    lines = _document_lines(text, DISTRIBUTION_TAG)
     space = None
     raw: dict[str, Fraction] = {}
     at: dict[str, int] = {}
@@ -259,9 +257,7 @@ class ForecastLog:
 
 
 def parse_forecast_log(text: str) -> ForecastLog:
-    lines = list(_content_lines(text))
-    if not lines or lines[0][1] != FORECAST_LOG_TAG.split():
-        raise DocumentParseError(f"expected header {FORECAST_LOG_TAG!r}", lines[0][0] if lines else 1)
+    lines = _document_lines(text, FORECAST_LOG_TAG)
     space = None
     records: list[ForecastRecord] = []
     seen: set[tuple[int, str]] = set()
@@ -303,16 +299,14 @@ def parse_forecast_log(text: str) -> ForecastLog:
 
 
 def parse_piecewise(text: str) -> list[tuple[float, float, float, float]]:
-    lines = list(_content_lines(text))
-    if not lines or lines[0][1] != PIECEWISE_TAG.split():
-        raise DocumentParseError(f"expected header {PIECEWISE_TAG!r}", lines[0][0] if lines else 1)
+    lines = _document_lines(text, PIECEWISE_TAG)
     pieces = []
     for lineno, tokens in lines[1:]:
         if tokens[0] != "piece" or len(tokens) != 5:
             raise DocumentParseError("piece needs: piece <lo> <hi> <q-density> <ratio>", lineno)
         try:
-            lo, hi, qd, r = (float(Fraction(t)) for t in tokens[1:])
-        except (ValueError, ZeroDivisionError):
+            lo, hi, qd, r = (_number(t) for t in tokens[1:])
+        except ValueError:
             raise DocumentParseError("piece values must be numbers", lineno)
         if hi <= lo or qd < 0 or r < 0:
             raise DocumentParseError("piece values out of range", lineno)

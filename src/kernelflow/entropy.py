@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainMismatchError
-from .pairs import CoherentPair, is_absolutely_coherent
+from .pairs import CoherentPair, compose_pairs
 
 INF = math.inf
 
@@ -34,25 +34,23 @@ def _ln_fraction(r: Fraction) -> float:
     return math.log(r.numerator) - math.log(r.denominator)
 
 
-def _kl_terms(p, m) -> dict[str, float] | None:
-    """Per-point terms of KL(p || m), or None if p is not dominated by m."""
-    terms = dict.fromkeys(p.space, 0.0)
-    for x, px in p.items():
+def _kl(pairs, m) -> tuple[float, dict[str, float] | None]:
+    """KL of the (point, mass) pairs against m, in nats, with its per-point
+    terms; (inf, None) when m has no mass at one of the points."""
+    terms = {}
+    for x, a in pairs:
         mx = m(x)
         if mx == 0:
-            return None
-        terms[x] = float(px) * _ln_fraction(px / mx)
-    return terms
+            return INF, None
+        terms[x] = float(a) * _ln_fraction(a / mx)
+    return max(0.0, math.fsum(terms.values())), terms
 
 
 def kl_divergence(p, m) -> float:
     """KL(p || m) for two exact distributions on one space, in nats."""
     if p.space != m.space:
         raise DomainMismatchError("distributions live on different spaces")
-    terms = _kl_terms(p, m)
-    if terms is None:
-        return INF
-    return max(0.0, math.fsum(terms.values()))
+    return _kl(p.items(), m)[0]
 
 
 @dataclass(frozen=True)
@@ -63,21 +61,16 @@ class ReValue:
     absolutely_coherent: bool
     per_point_terms: dict[str, float] | None
 
-    def is_infinite(self) -> bool:
-        return self.value == INF
-
 
 def re_fin(pair: CoherentPair) -> ReValue:
     """Relative entropy of a coherent pair: KL of p against s applied to q.
 
     Infinite exactly when the pair is not absolutely coherent.
     """
-    reconstructed = pair.hypothesis_pushforward()
-    terms = _kl_terms(pair.p, reconstructed)
+    value, terms = _kl(pair.p.items(), pair.hypothesis_pushforward())
     if terms is None:
         return ReValue(INF, False, None)
-    value = max(0.0, math.fsum(terms.values()))
-    return ReValue(value, True, terms)
+    return ReValue(value, True, dict.fromkeys(pair.p.space, 0.0) | terms)
 
 
 @dataclass(frozen=True)
@@ -102,20 +95,8 @@ def local_re(pair: CoherentPair, y: str) -> float:
         raise DomainMismatchError(
             f"local relative entropy at {y!r} is undefined: q({y}) = 0"
         )
-    fiber = [(x, px) for x, px in pair.p.items() if pair.f[x] == y]
-    return _fiber_kl(fiber, qy, pair.s(y))
-
-
-def _fiber_kl(fiber, qy: Fraction, s_y) -> float:
-    """KL(p_y || s_y) from the (x, p(x)) pairs of p's support over y."""
-    terms = []
-    for x, px in fiber:
-        sx = s_y(x)
-        if sx == 0:
-            return INF
-        p_yx = px / qy
-        terms.append(float(p_yx) * _ln_fraction(p_yx / sx))
-    return max(0.0, math.fsum(terms))
+    fiber = ((x, px / qy) for x, px in pair.p.items() if pair.f[x] == y)
+    return _kl(fiber, pair.s(y))[0]
 
 
 def convex_decompose(pair: CoherentPair) -> LocalReDecomposition:
@@ -131,7 +112,7 @@ def convex_decompose(pair: CoherentPair) -> LocalReDecomposition:
     entries = []
     parts = []
     for y, qy in pair.q.items():
-        local = _fiber_kl(fibers[y], qy, pair.s(y))
+        local = _kl(((x, px / qy) for x, px in fibers[y]), pair.s(y))[0]
         entries.append((y, qy, local))
         parts.append(ext_mul(float(qy), local))
     if any(part == INF for part in parts):
@@ -159,8 +140,6 @@ class FunctorialityCheck:
 
 def check_functoriality(first: CoherentPair, second: CoherentPair) -> FunctorialityCheck:
     """Compare RE(second . first) against RE(first) + RE(second)."""
-    from .pairs import compose_pairs
-
     composite = compose_pairs(first, second)
     a = re_fin(first).value
     b = re_fin(second).value

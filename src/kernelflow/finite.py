@@ -107,7 +107,11 @@ class FiniteDistribution:
         common = math.lcm(*dens)
         if sum(num * (common // den) for num, den in zip(nums, dens)) != common:
             total = sum((m for _, _, m in positive), ZERO)
-            raise DomainMismatchError(f"masses sum to {total}, not 1")
+            try:
+                shown = str(total)
+            except ValueError:  # more digits than int-to-str conversion allows
+                shown = "a fraction too long to print"
+            raise DomainMismatchError(f"masses sum to {shown}, not 1")
         positive.sort()
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "mass", {x: m for _, x, m in positive})

@@ -10,8 +10,11 @@ composition and additivity laws are exact only under the pointwise
 reading.  In particular a point of Y with an empty fiber admits no
 coherent hypothesis at all, so f must hit every point of Y.
 
-Validation happens eagerly at construction and the report is cached on
-the pair.  Two pairs are equal as morphisms when they agree q-almost
+q is part of the morphism, not extra data: construction derives f_*p once,
+takes it as q when none is given, and otherwise reports every point where
+the given q differs from it.  Validation happens eagerly at construction;
+validate_coherent runs the same check and returns the report instead of
+raising.  Two pairs are equal as morphisms when they agree q-almost
 everywhere; rows over q-null fibers are witnesses, not data.
 """
 
@@ -40,6 +43,33 @@ class CoherenceReport:
     violations: tuple[str, ...]
 
 
+def _violations(
+    f: Mapping[str, str],
+    s: StochasticKernel,
+    q: FiniteDistribution,
+    pushed: FiniteDistribution,
+) -> tuple[str, ...]:
+    """Every way (f, s) fails to be coherent from p to q, given pushed = f_*p."""
+    violations = [
+        f"pushforward mismatch at {y!r}: expected {q(y)}, got {pushed(y)}"
+        for y in q.space
+        if pushed(y) != q(y)
+    ]
+    image = set(f.values())
+    for y in q.space:
+        if y not in image:
+            violations.append(
+                f"the fiber over {y!r} is empty; no hypothesis row can be coherent"
+            )
+            continue
+        for x in s(y).support():
+            if f[x] != y:
+                violations.append(
+                    f"hypothesis row at {y!r} puts mass on {x!r} outside the fiber"
+                )
+    return tuple(violations)
+
+
 def validate_coherent(
     f: Mapping[str, str],
     s: StochasticKernel,
@@ -47,34 +77,13 @@ def validate_coherent(
     q: FiniteDistribution,
 ) -> CoherenceReport:
     """Check coherence of (f, s, p, q).  Never raises on well-shaped input."""
-    violations: list[str] = []
-    pushed = pushforward(p, f, q.space)
-    for y in q.space:
-        if pushed(y) != q(y):
-            violations.append(
-                f"pushforward mismatch at {y!r}: expected {q(y)}, got {pushed(y)}"
-            )
-    fibers = {y: [] for y in q.space}
-    for x, y in f.items():
-        fibers[y].append(x)
-    for y in q.space:
-        if not fibers[y]:
-            violations.append(
-                f"the fiber over {y!r} is empty; no hypothesis row can be coherent"
-            )
-            continue
-        row = s(y)
-        for x in row.support():
-            if f[x] != y:
-                violations.append(
-                    f"hypothesis row at {y!r} puts mass on {x!r} outside the fiber"
-                )
-    return CoherenceReport(not violations, tuple(violations))
+    violations = _violations(f, s, q, pushforward(p, f, q.space))
+    return CoherenceReport(not violations, violations)
 
 
 @dataclass(frozen=True)
 class CoherentPair:
-    """A validated morphism (f, s): (X, p) -> (Y, q)."""
+    """A validated morphism (f, s): (X, p) -> (Y, q); q defaults to f_*p."""
 
     f: Mapping[str, str]
     s: StochasticKernel
@@ -89,21 +98,21 @@ class CoherentPair:
         p: FiniteDistribution,
         q: FiniteDistribution | None = None,
     ):
-        if q is None:
-            q = pushforward(p, f, s.source)
-        if p.space != s.target or q.space != s.source:
+        if p.space != s.target or (q is not None and q.space != s.source):
             raise DomainMismatchError("pair shapes do not align with the kernel")
-        report = validate_coherent(f, s, p, q)
-        if not report.is_coherent:
+        pushed = pushforward(p, f, s.source)
+        if q is None:
+            q = pushed
+        violations = _violations(f, s, q, pushed)
+        if violations:
             raise IncoherentPairError(
-                "pair is not coherent: " + "; ".join(report.violations),
-                report.violations,
+                "pair is not coherent: " + "; ".join(violations), violations
             )
         object.__setattr__(self, "f", dict(f))
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "report", CoherenceReport(True, ()))
 
     def __eq__(self, other) -> bool:
         # morphism equality: hypothesis rows only matter q-almost everywhere
@@ -178,5 +187,4 @@ def disintegration_pair(
     p: FiniteDistribution, f: Mapping[str, str], target: FiniteSpace
 ) -> CoherentPair:
     """The optimal pair whose hypothesis is the exact disintegration of p."""
-    dis = disintegrate(p, f, target)
-    return CoherentPair(f, dis.kernel, p, pushforward(p, f, target))
+    return CoherentPair(f, disintegrate(p, f, target).kernel, p)

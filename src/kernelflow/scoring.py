@@ -28,7 +28,7 @@ from .entropy import (
     re_fin,
 )
 from .errors import DomainMismatchError, IndeterminateScoreError
-from .finite import FiniteDistribution, FiniteSpace, StochasticKernel, pushforward
+from .finite import FiniteDistribution, FiniteSpace, StochasticKernel
 from .pairs import CoherentPair
 
 
@@ -88,8 +88,6 @@ def kl_score(truth: FiniteDistribution, forecast: FiniteDistribution) -> float:
     point is the forecast itself, so its relative entropy is
     KL(truth || forecast), computed here directly.
     """
-    if truth.space != forecast.space:
-        raise DomainMismatchError("truth and forecast live on different spaces")
     return kl_divergence(truth, forecast)
 
 
@@ -133,29 +131,24 @@ def sequential_scores(
     return out
 
 
-def product_space(
-    x_space: FiniteSpace, f_space: FiniteSpace, sep: str = "|"
-) -> FiniteSpace:
+def product_space(x_space: FiniteSpace, f_space: FiniteSpace) -> FiniteSpace:
     """Labels "x|g" for each outcome x and candidate forecast g, x-major."""
-    return FiniteSpace(tuple(f"{x}{sep}{g}" for x in x_space for g in f_space))
+    return FiniteSpace(tuple(f"{x}|{g}" for x in x_space for g in f_space))
 
 
 def meta_kernel(
     x_space: FiniteSpace,
     f_space: FiniteSpace,
     rows: dict[str, FiniteDistribution],
-    sep: str = "|",
 ) -> StochasticKernel:
     """Lift per-forecast distributions on X to fiber-supported product rows."""
-    prod = product_space(x_space, f_space, sep)
+    prod = product_space(x_space, f_space)
     lifted = {}
     for g in f_space:
         row = rows[g]
         if row.space != x_space:
             raise DomainMismatchError(f"row for {g!r} lives on the wrong space")
-        lifted[g] = FiniteDistribution(
-            prod, {f"{x}{sep}{g}": row(x) for x in x_space}
-        )
+        lifted[g] = FiniteDistribution(prod, {f"{x}|{g}": row(x) for x in x_space})
     return StochasticKernel(f_space, prod, lifted)
 
 
@@ -163,34 +156,30 @@ def meta_score(
     joint: FiniteDistribution,
     first_forecaster_marginal: FiniteDistribution,
     second_forecaster: StochasticKernel,
-    forecast_of: Callable[[str], str] | None = None,
 ) -> float:
     """Score a forecaster who conditions on another forecaster's output.
 
     joint is the true distribution on pairs (outcome, first forecast),
-    living on a product space whose labels encode the forecast coordinate;
-    forecast_of extracts it (default: the part after the last "|").  The
-    second forecaster supplies one distribution over the product space per
-    candidate forecast, supported on that forecast's fiber.  The score is
-    the expected KL between the true conditional and the supplied row.
+    living on a product space whose labels "x|g" end in the forecast
+    coordinate g after the last "|".  The second forecaster supplies one
+    distribution over the product space per candidate forecast, supported
+    on that forecast's fiber.  The score is the expected KL between the
+    true conditional and the supplied row.
     """
-    if forecast_of is None:
-        forecast_of = lambda label: label.rsplit("|", 1)[1]
     f_space = second_forecaster.source
     proj = {}
     for label in joint.space:
-        g = forecast_of(label)
+        g = label.rpartition("|")[2]
         if g not in f_space:
             raise DomainMismatchError(
                 f"joint point {label!r} projects to {g!r}, not a candidate forecast"
             )
         proj[label] = g
-    marginal = pushforward(joint, proj, f_space)
-    if marginal != first_forecaster_marginal:
+    pair = CoherentPair(proj, second_forecaster, joint)
+    if pair.q != first_forecaster_marginal:
         raise DomainMismatchError(
             "joint's forecast marginal does not match the first forecaster's marginal"
         )
-    pair = CoherentPair(proj, second_forecaster, joint, marginal)
     return re_fin(pair).value
 
 

@@ -27,6 +27,8 @@ from kernelflow.documents import (
     serialize_morphism,
 )
 from kernelflow.errors import DocumentParseError, IncoherentPairError
+from kernelflow.finite import pushforward, uniform
+from kernelflow.pairs import CoherentPair
 
 COIN_DOC = """\
 morphism v1
@@ -252,6 +254,34 @@ class TestMorphismDocuments:
         with pytest.raises(DocumentParseError) as err:
             parse_morphism(bad)
         assert "'T'" in str(err.value)
+
+
+class TestPushforwardDerivedOnce:
+    """q is derived in one place: building a pair pushes p forward once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every call of pushforward, through whichever module imported it."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return pushforward(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("kernelflow") and getattr(module, "pushforward", None) is pushforward:
+                monkeypatch.setattr(module, "pushforward", counting)
+        return calls
+
+    def test_morphism_document(self, calls):
+        parse_morphism(COIN_DOC).to_pair()
+        assert len(calls) == 1
+
+    def test_pair_without_q(self, calls):
+        doc = parse_morphism(COIN_DOC)
+        pair = CoherentPair(doc.f, doc.s, doc.p)
+        assert len(calls) == 1
+        assert pair.q == uniform(doc.y_space)
 
 
 class TestOtherDocuments:
@@ -483,7 +513,7 @@ class TestEstimateKlCommand:
             "--integrator", "mc",
         )
         assert code == 1
-        assert "seed" in err
+        assert err == "error: Monte Carlo integration requires a seed\n"
 
     def test_determinism(self, capsys):
         argv = [
@@ -492,6 +522,44 @@ class TestEstimateKlCommand:
         ]
         runs = [run(capsys, *argv) for _ in range(2)]
         assert runs[0] == runs[1]  # byte-identical
+
+
+# a number beyond what a float or an int-to-str conversion can hold,
+# in each place the CLI reads one: (argv, exit code, stderr prefix)
+HUGE_NUMBER_CASES = {
+    "morphism_mass": (
+        ["validate", COIN_DOC.replace("p HH 1/4", "p HH 1e5000")], 2,
+        "parse error: line 11, column 1: p: masses sum to"),
+    "distribution_mass": (
+        ["score", SEQ_LOG, "--mode", "sequential", "--truth",
+         TRUTH_DOC.replace("mass H 1/2", "mass H 1e5000")], 2,
+        "parse error: line 4, column 1: distribution: masses sum to"),
+    "forecast_mass": (
+        ["score", FORECAST_LOG.replace("alice H 2/3", "alice H 1e5000")], 2,
+        "parse error: line 3, column 1: forecast: masses sum to"),
+    "model_parameter": (
+        ["estimate-kl", "gaussian", "1e5000", "1", "0", "1"], 1,
+        "error: model parameters must be numbers"),
+    "piecewise_bound": (
+        ["estimate-kl", "piecewise v1\npiece 0 1e400 1 1\n"], 2,
+        "parse error: line 2, column 1: piece values must be numbers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_NUMBER_CASES))
+def test_huge_numbers_end_in_typed_errors(capsys, tmp_path, case):
+    argv, want_code, want_err = HUGE_NUMBER_CASES[case]
+    args = []
+    for i, arg in enumerate(argv):
+        if "\n" in arg:  # document text: pass it as a file
+            path = tmp_path / f"doc{i}.txt"
+            path.write_text(arg)
+            arg = str(path)
+        args.append(arg)
+    code, out, err = run(capsys, *args)
+    assert code == want_code
+    assert err.startswith(want_err) and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestScoreCommand:

@@ -285,6 +285,12 @@ class TestMetaScore:
         with pytest.raises(DomainMismatchError):
             meta_score(joint, bad, second)
 
+    def test_label_without_forecast_coordinate(self):
+        fs, prod, joint, marginal = self.two_by_two()
+        second = meta_kernel(COIN, fs, {"gH": coin("1/2"), "gT": coin("1/2")})
+        with pytest.raises(DomainMismatchError, match="not a candidate forecast"):
+            meta_score(coin("1/2"), marginal, second)
+
 
 class TestPropernessAudit:
     def test_kl_score_is_proper(self):
