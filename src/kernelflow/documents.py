@@ -5,6 +5,8 @@ A mass is read exactly, as `fractions.Fraction` reads a string: "3/4",
 common case, unsigned digits with an optional "/digits" denominator, is
 parsed with two int() calls; every other token goes through
 Fraction(token), so both paths give the same value or the same error.
+Only an exponent too large for any nonzero value of the token to be
+printed is refused before Fraction builds its power of ten.
 A morphism document's q lines are optional: the pair derives q as the
 pushforward of p, and a declared q is checked against it, not trusted.
 Serialization is canonical: fixed section order, canonical point order,
@@ -14,6 +16,8 @@ canonicalized document and serializing it again is byte-identical.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,15 +32,46 @@ FORECAST_LOG_TAG = "forecast-log v1"
 PIECEWISE_TAG = "piecewise v1"
 
 
+# the decimal exponent Fraction reads: a sign and digits, with single
+# underscores between digits from Python 3.11 on; like int(), \d takes
+# every Unicode decimal digit
+_EXPONENT = re.compile(
+    r"[eE]([-+]?\d+%s)\Z" % (r"(?:_\d+)*" if sys.version_info >= (3, 11) else "")
+)
+
+
+def _exact(token: str) -> Fraction:
+    """Fraction(token), without building 10**e for a huge exponent e.
+
+    A nonzero number whose |e| is at least the int-to-str digit limit plus
+    its length has a numerator or denominator of more digits than that
+    limit, so it could not be printed: it raises OverflowError at once.
+    A zero mantissa is 0 whatever its exponent.  With the limit switched
+    off, the default limit of 4300 digits serves.
+    """
+    token = token.strip()
+    exp = _EXPONENT.search(token)
+    if exp:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        if abs(int(exp[1])) >= limit + len(token):
+            mantissa = Fraction(token[:exp.start()] + "e0")
+            if mantissa:
+                raise OverflowError(f"exponent out of range: {token!r}")
+            return mantissa
+    return Fraction(token)
+
+
 def _fraction(token: str, lineno: int) -> Fraction:
     num, slash, den = token.partition("/")
     try:
         if num.isdecimal() and (den.isdecimal() or not slash):
             # unsigned digits: two int() calls, and no sign to check
             return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-        f = Fraction(token)
+        f = _exact(token)
     except (ValueError, ZeroDivisionError):
         raise DocumentParseError(f"not a fraction: {token!r}", lineno)
+    except OverflowError as exc:
+        raise DocumentParseError(str(exc), lineno)
     if f < 0:
         raise DocumentParseError(f"negative mass {token!r}", lineno)
     return f
@@ -46,7 +81,7 @@ def _number(token: str) -> float:
     """The float nearest the exact number token; ValueError when the token
     is not a number or lies beyond the float range."""
     try:
-        return float(Fraction(token))
+        return float(_exact(token))
     except (ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"not a float: {token!r}") from exc
 

@@ -179,15 +179,28 @@ class TestBinMasses:
         assert np.array_equal(a.q_mass, b.q_mass)
         assert a.err_est == b.err_est
 
-    def test_blocked_bisection_bit_identical(self, monkeypatch):
-        # each crossing is bisected on its own, so blocks of any size give
-        # the same masses; only err_est's summation order may change
-        whole = bin_masses(gauss01_11(), 6, QUAD)
-        monkeypatch.setattr("kernelflow.borel._CHUNK", 7)
-        blocked = bin_masses(gauss01_11(), 6, QUAD)
+    @pytest.mark.parametrize(
+        "block, model, err_rel",
+        [
+            # each crossing is bisected on its own, so blocks of any size
+            # give the same masses; only err_est's summation order may change
+            ("_CHUNK", gauss01_11(), 1e-12),
+            # each interval's Gauss sums are its own, and err_est sums the
+            # differences of all intervals at once: nothing may change
+            ("_GAUSS_BLOCK", gauss01_11(), 0.0),
+            ("_GAUSS_BLOCK", gaussian_model(
+                -16 + 2090.95 / 128, 1, -16 + 2090.95 / 128, 2 + 2.0**-24,
+                truncation=(-16.0, 16.0)), 0.0),
+        ],
+        ids=["chunk-gauss", "gauss_block-gauss", "gauss_block-peak"],
+    )
+    def test_blocked_bisection_bit_identical(self, monkeypatch, block, model, err_rel):
+        whole = bin_masses(model, 6, QUAD)
+        monkeypatch.setattr(f"kernelflow.borel.{block}", 7)
+        blocked = bin_masses(model, 6, QUAD)
         assert np.array_equal(whole.p_mass, blocked.p_mass)
         assert np.array_equal(whole.q_mass, blocked.q_mass)
-        assert blocked.err_est == pytest.approx(whole.err_est, rel=1e-12)
+        assert blocked.err_est == pytest.approx(whole.err_est, rel=err_rel, abs=0.0)
 
     def test_mc_deterministic_and_close(self):
         spec = IntegratorSpec(kind="mc", seed=11, samples=200_000)
