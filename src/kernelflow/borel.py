@@ -25,6 +25,7 @@ their full IntegratorSpec.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -78,17 +79,27 @@ class DensityModel:
     truncation: tuple[float, float] | None = None
     sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
 
-    def quad_interval(self) -> tuple[float, float]:
+    def __post_init__(self):
+        # dataclasses.replace runs this again, so a new truncation is checked
         lo, hi = self.support
-        if math.isinf(lo) or math.isinf(hi):
-            if self.truncation is None:
+        if not lo < hi:
+            raise DomainMismatchError(f"model {self.name!r}: support [{lo}, {hi}] is empty")
+        if self.truncation is not None:
+            lo, hi = self.truncation
+            if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
                 raise DomainMismatchError(
-                    f"model {self.name!r} has unbounded support and no truncation interval"
+                    f"model {self.name!r}: truncation [{lo}, {hi}] is not a finite interval "
+                    "with lo < hi"
                 )
-            return self.truncation
+
+    def quad_interval(self) -> tuple[float, float]:
         if self.truncation is not None:
             return self.truncation
-        return (lo, hi)
+        if not all(map(math.isfinite, self.support)):
+            raise DomainMismatchError(
+                f"model {self.name!r} has unbounded support and no truncation interval"
+            )
+        return self.support
 
 
 @dataclass(frozen=True)
@@ -98,7 +109,8 @@ class IntegratorSpec:
     kind "quad" is deterministic quadrature between located cell-edge
     crossings, with tol the total error budget spread over the working
     interval in proportion to width; kind "mc" bins samples drawn from the
-    model's q-sampler and requires a seed.
+    model's q-sampler and requires a seed.  Every field is checked when
+    the spec is built.
     """
 
     kind: str = "quad"
@@ -111,6 +123,12 @@ class IntegratorSpec:
             raise DomainMismatchError(f"unknown integrator kind {self.kind!r}")
         if self.kind == "mc" and self.seed is None:
             raise DomainMismatchError("Monte Carlo integration requires a seed")
+        if self.seed is not None and not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise DomainMismatchError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not (isinstance(self.samples, numbers.Integral) and self.samples > 0):
+            raise DomainMismatchError(f"samples must be a positive integer, got {self.samples!r}")
+        if not 0 < self.tol < INF:
+            raise DomainMismatchError(f"tol must be positive and finite, got {self.tol!r}")
 
 
 def cell_count(n: int) -> int:
@@ -156,15 +174,19 @@ def bin_masses(model: DensityModel, n: int, integrator: IntegratorSpec) -> Parti
     """Masses of p and q on each level-n cell of the ratio partition."""
     if n < 1:
         raise DomainMismatchError("refinement level must be >= 1")
-    if integrator.kind == "mc":
-        return _bin_masses_mc(model, n, integrator)
-    return _bin_masses_quad(model, n, integrator)
+    # floating-point warnings stay off for the whole level: an overflow or a
+    # 0 * inf in a model's output shows up as a non-finite value, which
+    # _checked turns into a DomainMismatchError
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if integrator.kind == "mc":
+            return _bin_masses_mc(model, n, integrator)
+        return _bin_masses_quad(model, n, integrator)
 
 
 def validate_model(model: DensityModel) -> tuple[float, float]:
     """The integrals of q and p over the working interval, before folding,
     from the level-1 quadrature, which raises if the model breaks its contract."""
-    level = _bin_masses_quad(model, 1, IntegratorSpec())
+    level = bin_masses(model, 1, IntegratorSpec())
     return float(level.q_mass.sum()) - level.folded_q, float(level.p_mass.sum()) - level.folded_p
 
 
@@ -173,7 +195,7 @@ def _bin_masses_mc(model: DensityModel, n: int, spec: IntegratorSpec) -> Partiti
         raise DomainMismatchError(f"model {model.name!r} has no sampler for Monte Carlo")
     rng = np.random.default_rng(spec.seed)
     xs = np.asarray(model.sampler(rng, spec.samples), dtype=float)
-    r = _checked(model, xs, "ratio", lambda: model.ratio(xs))
+    r = _checked(model, xs, "ratio", model.ratio(xs))
     cells = _cell_of(r, n)
     nc = cell_count(n)
     q_mass = np.bincount(cells, minlength=nc).astype(float) / spec.samples
@@ -262,7 +284,7 @@ def _monotone_panels(model: DensityModel, lo: float, hi: float, n: int):
         _require_room(a.size, n)
         xs = np.clip(a[:, None] + (b - a)[:, None] * _SAMPLES, lo, hi)
         xs[:, 1], xs[:, -2] = a, b
-        r = _checked(model, xs, "ratio", lambda: model.ratio(xs))
+        r = _checked(model, xs, "ratio", model.ratio(xs))
         step = np.diff(r, axis=1)
         xs, r = xs[:, 1:-1], r[:, 1:-1]  # the panel's own samples
         r_min, r_max = r.min(axis=1), r.max(axis=1)
@@ -273,7 +295,7 @@ def _monotone_panels(model: DensityModel, lo: float, hi: float, n: int):
             | (_cell_of(r_min - spread, n) == _cell_of(r_max + spread, n))
         )
         if depth == _MONOTONE_DEPTH and not ok.all():
-            q = _checked(model, xs[~ok], "base density", lambda: model.base_density(xs[~ok]))
+            q = _checked(model, xs[~ok], "base density", model.base_density(xs[~ok]))
             err += float(np.sum((b - a)[~ok] * (q * (1.0 + r[~ok])).max(axis=1)))
             ok[:] = True
         done.append((a[ok], b[ok], r[ok, 0], r[ok, -1]))
@@ -310,8 +332,8 @@ def _crossings(model: DensityModel, a, b, r_a, r_b, n: int):
         block = panel[s:s + _CHUNK]
         left, right = _bisect(model, a[block], b[block], j[s:s + _CHUNK] * 2.0**-n, rising[block])
         ends = np.stack([left, right])
-        q = _checked(model, ends, "base density", lambda: model.base_density(ends))
-        p = _checked(model, ends, "ratio * base density", lambda: q * model.ratio(ends))
+        q = _checked(model, ends, "base density", model.base_density(ends))
+        p = _checked(model, ends, "ratio * base density", q * model.ratio(ends))
         err += float(np.sum((right - left) * (q + p).max(axis=0)))
         cuts[s:s + _CHUNK] = right
     return cuts, err
@@ -333,7 +355,7 @@ def _bisect(model: DensityModel, left, right, edge, rising):
             edge, rising = edge[moving], rising[moving]
             if live.size == 0:
                 break
-        r = _checked(model, mid, "ratio", lambda: model.ratio(mid))
+        r = _checked(model, mid, "ratio", model.ratio(mid))
         # the crossing is left of mid when mid is already past the edge
         past = (r >= edge) == rising
         lo = np.where(past, lo, mid)
@@ -388,10 +410,10 @@ def _gauss(model: DensityModel, a, b, n: int):
         half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
         nodes = mid[:, None] + half[:, None] * _GL_NODES
         ends = np.column_stack([lo, np.nextafter(hi, lo), mid])
-        r = _checked(model, nodes, "ratio", lambda: model.ratio(nodes))
-        r_ends = _checked(model, ends, "ratio", lambda: model.ratio(ends))
-        q = _checked(model, nodes, "base density", lambda: model.base_density(nodes))
-        p = _checked(model, nodes, "ratio * base density", lambda: q * r)
+        r = _checked(model, nodes, "ratio", model.ratio(nodes))
+        r_ends = _checked(model, ends, "ratio", model.ratio(ends))
+        q = _checked(model, nodes, "base density", model.base_density(nodes))
+        p = _checked(model, nodes, "ratio * base density", q * r)
         q, p = q * _GL_WEIGHTS, p * _GL_WEIGHTS
         q16, p16 = half * q[:, :16].sum(axis=1), half * p[:, :16].sum(axis=1)
         q8, p8 = half * q[:, 16:].sum(axis=1), half * p[:, 16:].sum(axis=1)
@@ -402,13 +424,9 @@ def _gauss(model: DensityModel, a, b, n: int):
     return q16, p16, diff, cells.astype(np.int64), stray > 0
 
 
-def _checked(model: DensityModel, xs, what: str, evaluate):
-    """evaluate(), after checking that the model gave finite nonnegative
-    output at xs.  Floating-point warnings are off while it runs: an
-    overflow or a 0 * inf shows up here as a non-finite value and raises.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = evaluate()
+def _checked(model: DensityModel, xs, what: str, values):
+    """values, the model's output at xs, after checking that they are finite
+    and nonnegative."""
     ok = np.isfinite(values) & (values >= 0)
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])

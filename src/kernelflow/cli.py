@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from . import documents
-from .borel import MODEL_REGISTRY, IntegratorSpec, estimate_kl, piecewise_constant_model
-from .entropy import INF, check_functoriality, convex_decompose, re_fin
+from .borel import MODEL_REGISTRY, IntegratorSpec, KlTrace, estimate_kl, piecewise_constant_model
+from .entropy import check_functoriality, convex_decompose, re_fin
 from .errors import (
     DocumentParseError,
     DomainMismatchError,
@@ -38,13 +38,15 @@ EXIT_INDETERMINATE = 4
 
 
 def _fmt(x: float) -> str:
-    if x == INF:
-        return "inf"
-    if x == -INF:
-        return "-inf"
+    # .9g already prints inf and -inf; only -0.0 would print as "-0"
     if x == 0:
         return "0"
     return f"{x:.9g}"
+
+
+def _show_levels(rows) -> None:
+    for n, kl, bins, err in rows:
+        print(f"{n}, {_fmt(kl)}, {bins}, {err:.3e}")
 
 
 def _read(path: str) -> str:
@@ -132,19 +134,8 @@ def cmd_estimate_kl(args) -> int:
     if args.truncate is not None:
         model = dataclasses.replace(model, truncation=tuple(args.truncate))
     spec = IntegratorSpec(kind=args.integrator, seed=args.seed)
-
-    def show(rows):
-        for n, kl, bins, err in rows:
-            print(f"{n}, {_fmt(kl)}, {bins}, {err:.3e}")
-
-    try:
-        trace = estimate_kl(model, args.nmax, args.tol, spec)
-    except IntegrationToleranceError as exc:
-        if exc.partial is not None:
-            show(exc.partial.levels)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    show(trace.levels)
+    trace = estimate_kl(model, args.nmax, args.tol, spec)
+    _show_levels(trace.levels)
     print(f"final = {_fmt(trace.final)}")
     print(f"converged: {'yes' if trace.converged else 'no'}")
     return EXIT_OK if trace.converged else EXIT_NUMERIC
@@ -252,9 +243,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
     except IntegrationToleranceError as exc:
+        # the levels estimate_kl finished before it stopped
+        if isinstance(exc.partial, KlTrace):
+            _show_levels(exc.partial.levels)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (IncoherentPairError, DomainMismatchError, KernelflowError) as exc:
+    except KernelflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
 

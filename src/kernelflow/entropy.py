@@ -1,10 +1,14 @@
 """The relative-entropy functor on finite morphisms and its law checkers.
 
-Values live in [0, inf], represented as Python floats with math.inf for the
-infinite branch.  The multiplication conventions are inf * 0 = 0 * inf = 0
-and inf * c = inf for c > 0.  Each per-point term computes the probability
-ratio exactly as a Fraction before a single double-precision log, so a
-morphism with an optimal hypothesis sums literal zeros.
+Values live in Lawvere's [0, inf], stored as IEEE floats with math.inf
+for the infinite branch.  IEEE arithmetic already does the sums
+(math.fsum included), differences, comparisons and printing of inf, so
+code handles only the two conventions it lacks: inf * 0 = 0 * inf = 0
+(ext_mul, where IEEE gives nan) and inf - inf, which has no value and is
+rejected where it can arise (scoring.sequential_scores).  Each per-point
+term computes the probability ratio exactly as a Fraction before a single
+double-precision log, so a morphism with an optimal hypothesis sums
+literal zeros.
 """
 
 from __future__ import annotations
@@ -115,11 +119,7 @@ def convex_decompose(pair: CoherentPair) -> LocalReDecomposition:
         local = _kl(((x, px / qy) for x, px in fibers[y]), pair.s(y))[0]
         entries.append((y, qy, local))
         parts.append(ext_mul(float(qy), local))
-    if any(part == INF for part in parts):
-        total = INF
-    else:
-        total = math.fsum(parts)
-    return LocalReDecomposition(tuple(entries), total)
+    return LocalReDecomposition(tuple(entries), math.fsum(parts))
 
 
 @dataclass(frozen=True)
@@ -144,8 +144,8 @@ def check_functoriality(first: CoherentPair, second: CoherentPair) -> Functorial
     a = re_fin(first).value
     b = re_fin(second).value
     c = re_fin(composite).value
-    if a == INF or b == INF or c == INF:
-        return FunctorialityCheck(a, b, c, None, c == INF and (a == INF or b == INF))
+    if INF in (a, b, c):
+        return FunctorialityCheck(a, b, c, None, c == a + b)
     return FunctorialityCheck(a, b, c, c - a - b, None)
 
 

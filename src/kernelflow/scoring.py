@@ -53,8 +53,6 @@ class ScoreReport:
 
     @property
     def total(self) -> float:
-        if any(s == INF for _, s in self.per_round):
-            return INF
         return math.fsum(s for _, s in self.per_round)
 
 
@@ -108,8 +106,9 @@ def sequential_scores(
 
     The first entry is the full score of the opening forecast; entry i is
     the signed loss delta score(q_{i-1}) - score(q_i), positive when the
-    newcomer is worse.  Two consecutive infinite scores would make the
-    delta indeterminate and are rejected.
+    newcomer is worse; IEEE gives inf - x = inf and x - inf = -inf.  Two
+    consecutive infinite scores would make the delta inf - inf and are
+    rejected.
     """
     if not forecasts:
         raise DomainMismatchError("need at least one forecast")
@@ -122,12 +121,7 @@ def sequential_scores(
                 f"indeterminate increment: rounds {i} and {i + 1} are both infinite",
                 rounds=(i, i + 1),
             )
-        if prev == INF:
-            out.append(INF)
-        elif cur == INF:
-            out.append(-INF)
-        else:
-            out.append(prev - cur)
+        out.append(prev - cur)
     return out
 
 

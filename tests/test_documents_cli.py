@@ -540,6 +540,46 @@ class TestEstimateKlCommand:
         assert code == 1
         assert err == "error: Monte Carlo integration requires a seed\n"
 
+    def test_partial_ladder_is_printed_before_exit_3(self, capsys, tmp_path):
+        # 2,000 pieces with an alternating ratio: levels 1 and 2 finish, and
+        # resolving them at level 3 needs more intervals than its cap
+        doc = tmp_path / "alternating.txt"
+        doc.write_text("piecewise v1\n" + "".join(
+            f"piece {i}/2000 {i + 1}/2000 1 {'3/2' if i % 2 else '1/2'}\n" for i in range(2000)
+        ))
+        code, out, err = run(capsys, "estimate-kl", str(doc), "--nmax", "6")
+        assert code == 3
+        rows = out.splitlines()
+        assert len(rows) == 2
+        assert rows[0].startswith("1, 0.130812036, 2, ")
+        assert rows[1].startswith("2, 0.130812036, 2, ")
+        assert err == "error: quadrature needs more than 16484 live intervals at level 3\n"
+
+    @pytest.mark.parametrize("lo, hi", [("5", "5"), ("13", "-12"), ("-12", "1e999"), ("-12", "nan")])
+    def test_bad_truncation_is_an_input_error(self, capsys, recwarn, lo, hi):
+        # these used to end in a ZeroDivisionError, in exit 3 as if the
+        # integrand were too hard, or in numpy warnings and a nan blamed
+        # on the model
+        code, out, err = run(
+            capsys, "estimate-kl", "gaussian", "0", "1", "1", "1",
+            "--truncate", lo, hi, "--nmax", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"truncation [{float(lo)}, {float(hi)}]" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not recwarn.list
+
+    def test_negative_seed_is_an_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "estimate-kl", "gaussian", "0", "1", "1", "1",
+            "--integrator", "mc", "--seed", "-1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be a nonnegative integer, got -1\n"
+
     def test_determinism(self, capsys):
         argv = [
             "estimate-kl", "exponential", "1", "2",
@@ -581,22 +621,61 @@ HUGE_NUMBER_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(HUGE_NUMBER_CASES))
-def test_huge_numbers_end_in_typed_errors(capsys, tmp_path, case):
-    argv, want_code, want_err = HUGE_NUMBER_CASES[case]
+def with_files(tmp_path, argv):
+    """argv with each document text written to a file and passed as its path."""
     args = []
     for i, arg in enumerate(argv):
-        if "\n" in arg:  # document text: pass it as a file
+        if "\n" in arg:
             path = tmp_path / f"doc{i}.txt"
             path.write_text(arg)
             arg = str(path)
         args.append(arg)
+    return args
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_NUMBER_CASES))
+def test_huge_numbers_end_in_typed_errors(capsys, tmp_path, case):
+    argv, want_code, want_err = HUGE_NUMBER_CASES[case]
+    args = with_files(tmp_path, argv)
     start = time.perf_counter()
     code, out, err = run(capsys, *args)
     assert time.perf_counter() - start < 1.0
     assert code == want_code
     assert err.startswith(want_err) and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# s gives x2 no mass although p does, so the morphism is coherent but not
+# absolutely coherent, and its relative entropy is infinite
+NOT_ABS_COHERENT_DOC = OPTIMAL_DOC.replace("s star x1 1/2\ns star x2 1/2", "s star x1 1\ns star x2 0")
+
+# KL scores inf, 0, inf and finite against the fair truth
+INFINITE_SCORES_LOG = """\
+forecast-log v1
+outcomes H T
+forecast 1 alice H 1 0
+forecast 2 alice H 1/2 1/2
+forecast 3 alice H 1 0
+forecast 4 alice H 1/3 2/3
+"""
+
+# (argv, stdout) of commands that print an infinite value
+INFINITY_CASES = {
+    "re": (["re", NOT_ABS_COHERENT_DOC], "RE = inf\n"),
+    "decompose": (
+        ["decompose", NOT_ABS_COHERENT_DOC],
+        "star: q = 1/1, local RE = inf\ntotal = inf\nre_fin cross-check = inf\n"),
+    "sequential": (
+        ["score", INFINITE_SCORES_LOG, "--mode", "sequential", "--truth", TRUTH_DOC],
+        "round 1, alice: inf\nround 2, alice: inf\n"
+        "round 3, alice: -inf\nround 4, alice: inf\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INFINITY_CASES))
+def test_infinities_are_printed(capsys, tmp_path, case):
+    argv, want_out = INFINITY_CASES[case]
+    assert run(capsys, *with_files(tmp_path, argv)) == (0, want_out, "")
 
 
 class TestScoreCommand:
