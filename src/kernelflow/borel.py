@@ -20,6 +20,17 @@ integrals of q and p are checked against 1, so a model that does not
 describe two probability measures fails at level 1.  The Monte Carlo
 integrator bins seeded samples from q.  Both are deterministic given
 their full IntegratorSpec.
+
+The refinement ladder (estimate_kl) carries work from level n - 1 to
+level n.  Level n - 1's cell edge j 2^-(n-1) is level n's edge 2j 2^-n,
+the same float, and bisecting a crossing depends only on the panel and
+the edge; a panel lies in one level-n cell only if it lies in one
+level-(n - 1) cell, so every monotone panel of level n - 1 is split out
+again at level n.  Level n therefore copies the right bracket end and the
+error term of each even-edge crossing from level n - 1 and bisects only
+the rest.  The Monte Carlo sample is drawn and its ratio checked once per
+ladder and only re-binned at each level.  Every level is bit-identical to
+bin_masses run from scratch.
 """
 
 from __future__ import annotations
@@ -172,6 +183,27 @@ class PartitionLevel:
 
 def bin_masses(model: DensityModel, n: int, integrator: IntegratorSpec) -> PartitionLevel:
     """Masses of p and q on each level-n cell of the ratio partition."""
+    return _level(model, n, integrator, _Ladder())
+
+
+class _Ladder:
+    """What one refinement ladder carries from a level to the next.
+
+    ratio is the Monte Carlo sample's ratio, drawn and checked once.  For
+    the quadrature, n is the last level whose crossings are kept: panels
+    holds the a, b, first edge, first crossing index and crossing count of
+    each panel with crossings, sorted by a, and cuts and terms hold each
+    crossing's right bracket end and error term.
+    """
+
+    def __init__(self):
+        self.ratio = None
+        self.n = 0  # no level kept yet
+        self.panels = self.cuts = self.terms = None
+
+
+def _level(model: DensityModel, n: int, integrator: IntegratorSpec, ladder: _Ladder) -> PartitionLevel:
+    """bin_masses at level n of a ladder, reusing what it kept from level n - 1."""
     if n < 1:
         raise DomainMismatchError("refinement level must be >= 1")
     # floating-point warnings stay off for the whole level: an overflow or a
@@ -179,8 +211,8 @@ def bin_masses(model: DensityModel, n: int, integrator: IntegratorSpec) -> Parti
     # _checked turns into a DomainMismatchError
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if integrator.kind == "mc":
-            return _bin_masses_mc(model, n, integrator)
-        return _bin_masses_quad(model, n, integrator)
+            return _bin_masses_mc(model, n, integrator, ladder)
+        return _bin_masses_quad(model, n, integrator, ladder)
 
 
 def validate_model(model: DensityModel) -> tuple[float, float]:
@@ -190,12 +222,14 @@ def validate_model(model: DensityModel) -> tuple[float, float]:
     return float(level.q_mass.sum()) - level.folded_q, float(level.p_mass.sum()) - level.folded_p
 
 
-def _bin_masses_mc(model: DensityModel, n: int, spec: IntegratorSpec) -> PartitionLevel:
-    if model.sampler is None:
-        raise DomainMismatchError(f"model {model.name!r} has no sampler for Monte Carlo")
-    rng = np.random.default_rng(spec.seed)
-    xs = np.asarray(model.sampler(rng, spec.samples), dtype=float)
-    r = _checked(model, xs, "ratio", model.ratio(xs))
+def _bin_masses_mc(model: DensityModel, n: int, spec: IntegratorSpec, ladder: _Ladder) -> PartitionLevel:
+    if ladder.ratio is None:
+        if model.sampler is None:
+            raise DomainMismatchError(f"model {model.name!r} has no sampler for Monte Carlo")
+        rng = np.random.default_rng(spec.seed)
+        xs = np.asarray(model.sampler(rng, spec.samples), dtype=float)
+        ladder.ratio = _checked(model, xs, "ratio", model.ratio(xs))
+    r = ladder.ratio
     cells = _cell_of(r, n)
     nc = cell_count(n)
     q_mass = np.bincount(cells, minlength=nc).astype(float) / spec.samples
@@ -204,14 +238,14 @@ def _bin_masses_mc(model: DensityModel, n: int, spec: IntegratorSpec) -> Partiti
     return PartitionLevel(n, p_mass, q_mass, err)
 
 
-def _bin_masses_quad(model: DensityModel, n: int, spec: IntegratorSpec) -> PartitionLevel:
+def _bin_masses_quad(model: DensityModel, n: int, spec: IntegratorSpec, ladder: _Ladder) -> PartitionLevel:
     lo, hi = model.quad_interval()
     nc = cell_count(n)
     q_mass = np.zeros(nc)
     p_mass = np.zeros(nc)
     try:
         a, b, r_a, r_b, err = _monotone_panels(model, lo, hi, n)
-        cuts, cut_err = _crossings(model, a, b, r_a, r_b, n)
+        cuts, cut_err = _crossings(model, a, b, r_a, r_b, n, ladder)
         err += cut_err
         breaks = np.sort(np.concatenate([a, [hi], cuts]))
         err += _integrate(model, breaks, n, spec.tol / (hi - lo), q_mass, p_mass)
@@ -308,7 +342,7 @@ def _monotone_panels(model: DensityModel, lo: float, hi: float, n: int):
     return a, b, r_a, r_b, err
 
 
-def _crossings(model: DensityModel, a, b, r_a, r_b, n: int):
+def _crossings(model: DensityModel, a, b, r_a, r_b, n: int, ladder: _Ladder):
     """Where the ratio crosses each level-n cell edge inside the panels.
 
     The edges crossed in a monotone panel are j 2^-n for j above the lower
@@ -316,26 +350,57 @@ def _crossings(model: DensityModel, a, b, r_a, r_b, n: int):
     bracketed by bisection on the ratio alone until the bracket ends are
     adjacent floats, _CHUNK crossings at a time to bound memory.  Returns
     the right bracket ends and, as error, each bracket's width times the
-    larger q + p at its ends.
+    larger q + p at its ends, summed per block.  A crossing of an even
+    edge 2j that the ladder's level n - 1 bracketed as edge j in the same
+    panel is copied from there; the rest are bisected.  The level's
+    crossings are kept on the ladder for level n + 1.
     """
     c_a, c_b = _cell_of(r_a, n), _cell_of(r_b, n)
     rising = c_b > c_a
     count = np.abs(c_b - c_a)
     total = int(count.sum())
     _require_room(total, n)
+    first = np.minimum(c_a, c_b) + 1
+    start = np.cumsum(count) - count
     panel = np.repeat(np.arange(a.size), count)
-    first = np.minimum(c_a, c_b)[panel] + 1
-    j = first + np.arange(total) - np.repeat(np.cumsum(count) - count, count)
+    j = np.arange(total) + (first - start)[panel]
+    # level n - 1's crossings of each panel: edges [old_lo, old_hi) of that
+    # level, the one of edge h at index shift + h
+    old_lo = old_hi = shift = np.zeros(a.size, dtype=np.int64)
+    if ladder.cuts is not None and ladder.cuts.size and ladder.n == n - 1:
+        p_a, p_b, p_first, p_start, p_count = ladder.panels
+        at = np.minimum(np.searchsorted(p_a, a), p_a.size - 1)
+        same = (p_a[at] == a) & (p_b[at] == b)
+        old_lo = np.where(same, p_first[at], 0)
+        old_hi = np.where(same, p_first[at] + p_count[at], 0)
+        shift = p_start[at] - p_first[at]
     cuts = np.empty(total)
+    terms = np.empty(total)
     err = 0.0
     for s in range(0, total, _CHUNK):
-        block = panel[s:s + _CHUNK]
-        left, right = _bisect(model, a[block], b[block], j[s:s + _CHUNK] * 2.0**-n, rising[block])
-        ends = np.stack([left, right])
-        q = _checked(model, ends, "base density", model.base_density(ends))
-        p = _checked(model, ends, "ratio * base density", q * model.ratio(ends))
-        err += float(np.sum((right - left) * (q + p).max(axis=0)))
-        cuts[s:s + _CHUNK] = right
+        block, edge = panel[s:s + _CHUNK], j[s:s + _CHUNK]
+        right, term = cuts[s:s + _CHUNK], terms[s:s + _CHUNK]
+        h = edge >> 1
+        old = ((edge & 1) == 0) & (old_lo[block] <= h) & (h < old_hi[block])
+        if old.any():
+            src = shift[block[old]] + h[old]
+            right[old] = ladder.cuts[src]
+            term[old] = ladder.terms[src]
+        new = ~old
+        if new.any():
+            at = block[new]
+            left, r = _bisect(model, a[at], b[at], edge[new] * 2.0**-n, rising[at])
+            ends = np.stack([left, r])
+            q = _checked(model, ends, "base density", model.base_density(ends))
+            p = _checked(model, ends, "ratio * base density", q * model.ratio(ends))
+            term[new] = (r - left) * (q + p).max(axis=0)
+            right[new] = r
+        err += float(np.sum(term))
+    keep = count > 0
+    order = np.argsort(a[keep])
+    ladder.n = n
+    ladder.panels = tuple(col[keep][order] for col in (a, b, first, start, count))
+    ladder.cuts, ladder.terms = cuts, terms
     return cuts, err
 
 
@@ -404,7 +469,9 @@ def _gauss(model: DensityModel, a, b, n: int):
     before b is still on the interval's side.  The model is called on
     _GAUSS_BLOCK intervals at a time, so each node array stays in cache.
     """
-    out = np.empty((5, a.size))
+    out = np.empty((3, a.size))
+    cells = np.empty(a.size, dtype=np.int64)
+    stray = np.empty(a.size, dtype=bool)
     for s in range(0, a.size, _GAUSS_BLOCK):
         lo, hi = a[s:s + _GAUSS_BLOCK], b[s:s + _GAUSS_BLOCK]
         half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
@@ -417,11 +484,12 @@ def _gauss(model: DensityModel, a, b, n: int):
         q, p = q * _GL_WEIGHTS, p * _GL_WEIGHTS
         q16, p16 = half * q[:, :16].sum(axis=1), half * p[:, :16].sum(axis=1)
         q8, p8 = half * q[:, 16:].sum(axis=1), half * p[:, 16:].sum(axis=1)
-        cells = _cell_of(r_ends[:, -1], n)
-        stray = ~(_in_cell(r, cells, n) & _in_cell(r_ends, cells, n))
-        out[:, s:s + _GAUSS_BLOCK] = q16, p16, np.abs(q16 - q8) + np.abs(p16 - p8), cells, stray
-    q16, p16, diff, cells, stray = out
-    return q16, p16, diff, cells.astype(np.int64), stray > 0
+        c = _cell_of(r_ends[:, -1], n)
+        cells[s:s + _GAUSS_BLOCK] = c
+        stray[s:s + _GAUSS_BLOCK] = ~(_in_cell(r, c, n) & _in_cell(r_ends, c, n))
+        out[:, s:s + _GAUSS_BLOCK] = q16, p16, np.abs(q16 - q8) + np.abs(p16 - p8)
+    q16, p16, diff = out
+    return q16, p16, diff, cells, stray
 
 
 def _checked(model: DensityModel, xs, what: str, values):
@@ -472,18 +540,25 @@ def estimate_kl(
     Stops early after two consecutive sub-tolerance increments; the trace
     of lower bounds is nondecreasing up to integration error.  Level 1
     checks the model contract as every level of bin_masses does.
+
+    Each level reuses level n - 1's work: the quadrature copies the
+    crossings of level n - 1's edges, which are level n's even edges, in
+    the panels both levels share, and Monte Carlo re-bins one sample.
+    Bisection depends only on the panel and the edge, so every row equals
+    the one a fresh bin_masses call gives, err_est included.
     """
     if n_max < 1:
         raise DomainMismatchError("n_max must be >= 1")
-    if stop_tol <= 0:
-        raise DomainMismatchError("stop_tol must be positive")
+    if not 0 < stop_tol < INF:
+        raise DomainMismatchError(f"stop_tol must be positive and finite, got {stop_tol!r}")
     rows: list[tuple[int, float, int, float]] = []
     prev = None
     small_steps = 0
     converged = False
+    ladder = _Ladder()
     try:
         for n in range(1, n_max + 1):
-            level = bin_masses(model, n, integrator)
+            level = _level(model, n, integrator, ladder)
             kl = discretized_kl(level)
             rows.append((n, kl, level.occupied(), level.err_est))
             if prev is not None and math.isfinite(kl) and math.isfinite(prev):

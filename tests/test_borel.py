@@ -8,6 +8,7 @@ monotonicity panel by panel from ratio samples and integrates the
 densities numerically), which keeps the comparison honest.
 """
 
+import dataclasses
 import math
 import re
 
@@ -180,27 +181,48 @@ class TestBinMasses:
         assert a.err_est == b.err_est
 
     @pytest.mark.parametrize(
-        "block, model, err_rel",
+        "block, model, err_rel, ladder",
         [
             # each crossing is bisected on its own, so blocks of any size
             # give the same masses; only err_est's summation order may change
-            ("_CHUNK", gauss01_11(), 1e-12),
+            ("_CHUNK", gauss01_11(), 1e-12, False),
             # each interval's Gauss sums are its own, and err_est sums the
             # differences of all intervals at once: nothing may change
-            ("_GAUSS_BLOCK", gauss01_11(), 0.0),
+            ("_GAUSS_BLOCK", gauss01_11(), 0.0, False),
             ("_GAUSS_BLOCK", gaussian_model(
                 -16 + 2090.95 / 128, 1, -16 + 2090.95 / 128, 2 + 2.0**-24,
-                truncation=(-16.0, 16.0)), 0.0),
+                truncation=(-16.0, 16.0)), 0.0, False),
+            # a ladder copies level n - 1's crossings into blocks that mix
+            # them with bisected ones
+            ("_CHUNK", gauss01_11(), 1e-12, True),
         ],
-        ids=["chunk-gauss", "gauss_block-gauss", "gauss_block-peak"],
+        ids=["chunk-gauss", "gauss_block-gauss", "gauss_block-peak", "chunk-gauss-ladder"],
     )
-    def test_blocked_bisection_bit_identical(self, monkeypatch, block, model, err_rel):
-        whole = bin_masses(model, 6, QUAD)
+    def test_blocked_bisection_bit_identical(self, monkeypatch, block, model, err_rel, ladder):
+        def levels():
+            if not ladder:
+                return [bin_masses(model, 6, QUAD)], ()
+            # the levels estimate_kl computes, as it hands them on
+            seen = []
+
+            def spy(level):
+                seen.append(level)
+                return discretized_kl(level)
+
+            monkeypatch.setattr("kernelflow.borel.discretized_kl", spy)
+            return seen, estimate_kl(model, 6, 1e-12, QUAD).levels
+
+        whole, whole_rows = levels()
         monkeypatch.setattr(f"kernelflow.borel.{block}", 7)
-        blocked = bin_masses(model, 6, QUAD)
-        assert np.array_equal(whole.p_mass, blocked.p_mass)
-        assert np.array_equal(whole.q_mass, blocked.q_mass)
-        assert blocked.err_est == pytest.approx(whole.err_est, rel=err_rel, abs=0.0)
+        blocked, blocked_rows = levels()
+        assert len(whole) == len(blocked) and len(whole_rows) == len(blocked_rows)
+        for w, b in zip(whole, blocked):
+            assert np.array_equal(w.p_mass, b.p_mass)
+            assert np.array_equal(w.q_mass, b.q_mass)
+            assert b.err_est == pytest.approx(w.err_est, rel=err_rel, abs=0.0)
+        for w, b in zip(whole_rows, blocked_rows):
+            assert w[:3] == b[:3]
+            assert b[3] == pytest.approx(w[3], rel=err_rel, abs=0.0)
 
     def test_mc_deterministic_and_close(self):
         spec = IntegratorSpec(kind="mc", seed=11, samples=200_000)
@@ -447,13 +469,56 @@ class TestEstimateKl:
     def test_input_validation(self):
         with pytest.raises(DomainMismatchError):
             estimate_kl(gauss01_11(), 0, 1e-6, QUAD)
-        with pytest.raises(DomainMismatchError):
-            estimate_kl(gauss01_11(), 4, 0.0, QUAD)
+        for stop_tol in (0.0, -1.0, INF, math.nan):
+            # a nan tolerance used to run every level and report no convergence
+            with pytest.raises(DomainMismatchError, match="^stop_tol must be positive and finite"):
+                estimate_kl(gauss01_11(), 4, stop_tol, QUAD)
 
     def test_deterministic_traces(self):
         a = estimate_kl(gauss01_11(), 4, 1e-6, QUAD)
         b = estimate_kl(gauss01_11(), 4, 1e-6, QUAD)
         assert a.levels == b.levels  # bit-identical
+
+
+def counted(model):
+    """The model with its ratio counting evaluations, and the count."""
+    calls = [0]
+
+    def ratio(x, inner=model.ratio):
+        calls[0] += np.size(x)
+        return inner(x)
+
+    return dataclasses.replace(model, ratio=ratio), calls
+
+
+class TestLadderReuse:
+    """estimate_kl reuses level n - 1's crossings and Monte Carlo sample;
+    its rows must equal those of fresh bin_masses calls, bit for bit."""
+
+    @pytest.mark.parametrize("model, n_max, spec, share", [
+        (gauss01_11(), 14, QUAD, 0.75),
+        (expo1_2(), 12, QUAD, 1.0),
+        # the peak's panels are split differently at each level
+        (gaussian_model(-16 + 2090.95 / 128, 1, -16 + 2090.95 / 128, 2 + 2.0**-24,
+                        truncation=(-16.0, 16.0)), 10, QUAD, 1.0),
+        (uniform_pair_model(0.25, 0.75, 0, 1), 8, QUAD, 1.0),
+        (piecewise_constant_model([(0.0, 0.5, 1.0, 1.5), (0.5, 1.0, 1.0, 0.5)]), 8, QUAD, 1.0),
+        # slope infinite at 0
+        (DensityModel("sqrt", np.ones_like, lambda x: 1.5 * np.sqrt(x), (0.0, 1.0)), 10, QUAD, 1.0),
+        # one sample for the whole ladder
+        (expo1_2(), 10, IntegratorSpec(kind="mc", seed=0, samples=200_000), 0.2),
+        (expo1_2(), 10, IntegratorSpec(kind="mc", seed=7, samples=200_000), 0.2),
+    ], ids=["gauss", "expo", "peak", "uniform-pair", "piecewise", "sqrt", "mc-0", "mc-7"])
+    def test_ladder_equals_fresh_levels(self, model, n_max, spec, share):
+        model, calls = counted(model)
+        trace = estimate_kl(model, n_max, 1e-12, spec)
+        ladder_calls, calls[0] = calls[0], 0
+        rows = []
+        for n in range(1, len(trace.levels) + 1):
+            level = bin_masses(model, n, spec)
+            rows.append((n, discretized_kl(level), level.occupied(), level.err_est))
+        assert trace.levels == tuple(rows)
+        assert ladder_calls <= share * calls[0]
 
 
 class TestAgreementCheck:

@@ -571,6 +571,32 @@ class TestEstimateKlCommand:
         assert "Traceback" not in err and "Warning" not in err
         assert not recwarn.list
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_stop_tolerance_is_an_input_error(self, capsys, tol):
+        # nan used to run every level and exit 3 with "converged: no"; inf
+        # stopped at level 3 whatever the increments
+        code, out, err = run(
+            capsys, "estimate-kl", "gaussian", "0", "1", "1", "1",
+            "--truncate", "-12", "13", "--tol", tol, "--nmax", "3",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: stop_tol must be positive and finite")
+
+    @pytest.mark.parametrize("argv, same_as", [
+        (["gaussian", "0", "1", "1", "1", "--truncate", "-1.2e1", "13"],
+         ["gaussian", "0", "1", "1", "1", "--truncate", "-12", "13"]),
+        (["gaussian", "-1e-1", "1", "1", "1", "--truncate", "-12", "13"],
+         ["gaussian", "-0.1", "1", "1", "1", "--truncate", "-12", "13"]),
+    ], ids=["truncate", "parameter"])
+    def test_negative_numbers_with_exponents(self, capsys, argv, same_as):
+        # argparse took these for options: "expected 2 arguments" and
+        # "unrecognized arguments", exit 2
+        code, out, err = run(capsys, "estimate-kl", *argv, "--nmax", "3")
+        want = run(capsys, "estimate-kl", *same_as, "--nmax", "3")
+        assert (code, out, err) == want
+        assert out.startswith("1, ")
+
     def test_negative_seed_is_an_input_error(self, capsys):
         code, out, err = run(
             capsys, "estimate-kl", "gaussian", "0", "1", "1", "1",
