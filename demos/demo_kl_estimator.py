@@ -28,8 +28,7 @@ def show(trace, truth=None):
 def main() -> None:
     print("== N(0,1) vs N(1,1), deterministic quadrature ==")
     model = gaussian_model(0, 1, 1, 1, truncation=(-12, 13))
-    trace = estimate_kl(model, n_max=10, stop_tol=1e-3,
-                        integrator=IntegratorSpec(kind="quad", tol=1e-9))
+    trace = estimate_kl(model, n_max=10, stop_tol=1e-3, integrator=IntegratorSpec())
     show(trace, truth=gaussian_kl(0, 1, 1, 1))
 
     print("\n== heavy-tailed ratio, Monte Carlo binning (true KL = inf) ==")
@@ -44,7 +43,7 @@ def main() -> None:
     )
     trace = estimate_kl(
         heavy, n_max=10, stop_tol=1e-3,
-        integrator=IntegratorSpec(kind="mc", seed=20240817, samples=200_000),
+        integrator=IntegratorSpec(kind="mc", seed=20240817),
     )
     show(trace)
     print("  every level is a lower bound; the ladder keeps climbing.")

@@ -19,7 +19,8 @@ its nodes or ends leaves its cell.  Before the level is returned, the
 integrals of q and p are checked against 1, so a model that does not
 describe two probability measures fails at level 1.  The Monte Carlo
 integrator bins seeded samples from q.  Both are deterministic given
-their full IntegratorSpec.
+their IntegratorSpec.  A level with more than _MAX_CELLS cells is refused
+before anything is allocated.
 
 The refinement ladder (estimate_kl) carries work from level n - 1 to
 level n.  Level n - 1's cell edge j 2^-(n-1) is level n's edge 2j 2^-n,
@@ -47,9 +48,13 @@ from .errors import DomainMismatchError, IntegrationToleranceError
 INF = math.inf
 
 _MODEL_VALIDATION_TOL = 1e-6
+_MAX_CELLS = 1 << 25  # cells a level may hold in memory, so n <= 20
+_MC_SAMPLES = 1_000_000  # Monte Carlo sample drawn once per ladder
 
 # Quadrature layout.  Every constant is fixed, so a level's masses depend
-# only on the model, n and the tolerance.
+# only on the model and n.
+_TOL = 1e-8  # error budget, spread over the working interval by width
+_ERR_CEILING = 1e-6  # a level whose error estimate exceeds this fails
 _PANELS = 4096  # initial panels over the working interval
 # ratio samples per panel: both ends, three inside and one a quarter
 # panel beyond each end, so a turn just past an end sample is seen
@@ -118,16 +123,14 @@ class IntegratorSpec:
     """Fully explicit integration request; no silent default switching.
 
     kind "quad" is deterministic quadrature between located cell-edge
-    crossings, with tol the total error budget spread over the working
-    interval in proportion to width; kind "mc" bins samples drawn from the
-    model's q-sampler and requires a seed.  Every field is checked when
-    the spec is built.
+    crossings, with the error budget _TOL spread over the working interval
+    in proportion to width; kind "mc" bins _MC_SAMPLES samples drawn from
+    the model's q-sampler and requires a seed.  Both fields are checked
+    when the spec is built.
     """
 
     kind: str = "quad"
-    tol: float = 1e-8
     seed: int | None = None
-    samples: int = 1_000_000
 
     def __post_init__(self):
         if self.kind not in ("quad", "mc"):
@@ -136,10 +139,6 @@ class IntegratorSpec:
             raise DomainMismatchError("Monte Carlo integration requires a seed")
         if self.seed is not None and not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise DomainMismatchError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not (isinstance(self.samples, numbers.Integral) and self.samples > 0):
-            raise DomainMismatchError(f"samples must be a positive integer, got {self.samples!r}")
-        if not 0 < self.tol < INF:
-            raise DomainMismatchError(f"tol must be positive and finite, got {self.tol!r}")
 
 
 def cell_count(n: int) -> int:
@@ -206,13 +205,17 @@ def _level(model: DensityModel, n: int, integrator: IntegratorSpec, ladder: _Lad
     """bin_masses at level n of a ladder, reusing what it kept from level n - 1."""
     if n < 1:
         raise DomainMismatchError("refinement level must be >= 1")
+    if cell_count(n) > _MAX_CELLS:
+        raise IntegrationToleranceError(
+            f"level {n} needs {cell_count(n)} cells, more than {_MAX_CELLS}", achieved=INF
+        )
     # floating-point warnings stay off for the whole level: an overflow or a
     # 0 * inf in a model's output shows up as a non-finite value, which
     # _checked turns into a DomainMismatchError
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if integrator.kind == "mc":
             return _bin_masses_mc(model, n, integrator, ladder)
-        return _bin_masses_quad(model, n, integrator, ladder)
+        return _bin_masses_quad(model, n, ladder)
 
 
 def validate_model(model: DensityModel) -> tuple[float, float]:
@@ -227,18 +230,18 @@ def _bin_masses_mc(model: DensityModel, n: int, spec: IntegratorSpec, ladder: _L
         if model.sampler is None:
             raise DomainMismatchError(f"model {model.name!r} has no sampler for Monte Carlo")
         rng = np.random.default_rng(spec.seed)
-        xs = np.asarray(model.sampler(rng, spec.samples), dtype=float)
+        xs = np.asarray(model.sampler(rng, _MC_SAMPLES), dtype=float)
         ladder.ratio = _checked(model, xs, "ratio", model.ratio(xs))
     r = ladder.ratio
     cells = _cell_of(r, n)
     nc = cell_count(n)
-    q_mass = np.bincount(cells, minlength=nc).astype(float) / spec.samples
-    p_mass = np.bincount(cells, weights=r, minlength=nc) / spec.samples
-    err = 1.0 / math.sqrt(spec.samples)
+    q_mass = np.bincount(cells, minlength=nc).astype(float) / _MC_SAMPLES
+    p_mass = np.bincount(cells, weights=r, minlength=nc) / _MC_SAMPLES
+    err = 1.0 / math.sqrt(_MC_SAMPLES)
     return PartitionLevel(n, p_mass, q_mass, err)
 
 
-def _bin_masses_quad(model: DensityModel, n: int, spec: IntegratorSpec, ladder: _Ladder) -> PartitionLevel:
+def _bin_masses_quad(model: DensityModel, n: int, ladder: _Ladder) -> PartitionLevel:
     lo, hi = model.quad_interval()
     nc = cell_count(n)
     q_mass = np.zeros(nc)
@@ -248,7 +251,7 @@ def _bin_masses_quad(model: DensityModel, n: int, spec: IntegratorSpec, ladder: 
         cuts, cut_err = _crossings(model, a, b, r_a, r_b, n, ladder)
         err += cut_err
         breaks = np.sort(np.concatenate([a, [hi], cuts]))
-        err += _integrate(model, breaks, n, spec.tol / (hi - lo), q_mass, p_mass)
+        err += _integrate(model, breaks, n, q_mass, p_mass)
     except IntegrationToleranceError as exc:
         # the level was abandoned part way, so its masses are incomplete
         exc.partial = PartitionLevel(n, p_mass, q_mass, INF)
@@ -277,7 +280,7 @@ def _bin_masses_quad(model: DensityModel, n: int, spec: IntegratorSpec, ladder: 
         q_mass[k] += folded_q
         p_mass[k] += folded_p
 
-    if err > max(spec.tol * 100.0, 1e-6):
+    if err > _ERR_CEILING:
         raise IntegrationToleranceError(
             f"quadrature error estimate {err:.3g} exceeds tolerance at level {n}",
             achieved=err,
@@ -429,17 +432,18 @@ def _bisect(model: DensityModel, left, right, edge, rising):
     return left, right
 
 
-def _integrate(model: DensityModel, breaks, n: int, rel_tol: float, q_mass, p_mass) -> float:
+def _integrate(model: DensityModel, breaks, n: int, q_mass, p_mass) -> float:
     """Add the q- and p-mass of each interval between consecutive breaks to
     its cell and return the error: the summed |G16 - G8|, plus the mass of
     every interval that still straddles a cell edge after the last halving.
 
     An interval's cell is read off the ratio at its midpoint.  It is halved,
     at most _MAX_HALVINGS times, while its two Gauss-Legendre orders differ
-    by more than rel_tol times its width, or while the ratio at one of its
+    by more than its width's share of _TOL, or while the ratio at one of its
     nodes or ends lies in another cell (a crossing the panel samples
     missed).
     """
+    rel_tol = _TOL / (breaks[-1] - breaks[0])
     a, b = breaks[:-1], breaks[1:]
     err = 0.0
     for depth in range(_MAX_HALVINGS + 1):

@@ -215,9 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=cmd_decompose)
 
     e = sub.add_parser("estimate-kl", help="refinement KL estimate for a density model")
-    # argparse reads "-1.2e1" as an option unless it matches this; model
-    # parameters and truncation ends may be any negative decimal number
-    e._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+    # argparse reads "-1.2e1" or "-inf" as an option unless it matches this;
+    # model parameters and truncation ends may be any negative float() reads
+    e._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.I)
     e.add_argument("model", nargs="+", help="model name and parameters, or a piecewise density file")
     e.add_argument("--nmax", type=int, default=14)
     e.add_argument("--tol", type=float, default=1e-4, help="stopping tolerance on increments")

@@ -146,9 +146,10 @@ class MorphismDocument:
     def validate(self) -> CoherenceReport:
         """The coherence report of the pair, every violation listed."""
         try:
-            return self.to_pair().report
+            self.to_pair()
         except IncoherentPairError as exc:
             return CoherenceReport(False, exc.violations)
+        return CoherenceReport(True, ())
 
 
 def parse_morphism(text: str) -> MorphismDocument:

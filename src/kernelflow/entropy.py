@@ -21,6 +21,8 @@ from .errors import DomainMismatchError
 from .pairs import CoherentPair, compose_pairs
 
 INF = math.inf
+_FUNCTORIALITY_TOL = 1e-10  # |residual| below which the identity holds
+_LSC_TOL = 1e-9  # how far the target may sit above the liminf estimate
 
 
 def ext_mul(a: float, b: float) -> float:
@@ -132,9 +134,9 @@ class FunctorialityCheck:
     residual: float | None          # set when all three values are finite
     infinite_agreement: bool | None  # set when any value is infinite
 
-    def holds(self, tol: float = 1e-10) -> bool:
+    def holds(self) -> bool:
         if self.residual is not None:
-            return abs(self.residual) < tol
+            return abs(self.residual) < _FUNCTORIALITY_TOL
         return bool(self.infinite_agreement)
 
 
@@ -155,9 +157,7 @@ class LscCheck:
     satisfied: bool
 
 
-def check_lsc_on_sequence(
-    target: CoherentPair, approximants: list[CoherentPair], tol: float = 1e-9
-) -> LscCheck:
+def check_lsc_on_sequence(target: CoherentPair, approximants: list[CoherentPair]) -> LscCheck:
     """Spot-check lower semicontinuity along a caller-supplied sequence.
 
     The caller asserts that the approximants converge strongly to the
@@ -170,7 +170,7 @@ def check_lsc_on_sequence(
     tail = approximants[len(approximants) // 2:]
     liminf = min(re_fin(pair).value for pair in tail)
     value = re_fin(target).value
-    return LscCheck(liminf, value <= liminf + tol)
+    return LscCheck(liminf, value <= liminf + _LSC_TOL)
 
 
 def scaled_functor(c: float, pair: CoherentPair) -> float:

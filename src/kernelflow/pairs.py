@@ -89,7 +89,6 @@ class CoherentPair:
     s: StochasticKernel
     p: FiniteDistribution
     q: FiniteDistribution
-    report: CoherenceReport
 
     def __init__(
         self,
@@ -112,7 +111,6 @@ class CoherentPair:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "report", CoherenceReport(True, ()))
 
     def __eq__(self, other) -> bool:
         # morphism equality: hypothesis rows only matter q-almost everywhere

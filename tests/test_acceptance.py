@@ -78,7 +78,7 @@ def report(capsys, number: int, label: str, ok: bool, detail: str = ""):
 # Shared fixtures for the estimator criteria (5 and 7 reuse one ladder run)
 
 GAUSS_TRUNC = (-12.0, 13.0)
-QUAD = IntegratorSpec(kind="quad", tol=1e-9)
+QUAD = IntegratorSpec()
 _LADDER_SECONDS = {}
 
 

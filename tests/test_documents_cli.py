@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernelflow
+from kernelflow.borel import cell_count
 from kernelflow.cli import main
 from kernelflow.documents import (
     _fraction,
@@ -555,11 +556,13 @@ class TestEstimateKlCommand:
         assert rows[1].startswith("2, 0.130812036, 2, ")
         assert err == "error: quadrature needs more than 16484 live intervals at level 3\n"
 
-    @pytest.mark.parametrize("lo, hi", [("5", "5"), ("13", "-12"), ("-12", "1e999"), ("-12", "nan")])
+    @pytest.mark.parametrize("lo, hi", [
+        ("5", "5"), ("13", "-12"), ("-12", "1e999"), ("-12", "nan"), ("-inf", "13"), ("-Infinity", "13"),
+    ])
     def test_bad_truncation_is_an_input_error(self, capsys, recwarn, lo, hi):
         # these used to end in a ZeroDivisionError, in exit 3 as if the
-        # integrand were too hard, or in numpy warnings and a nan blamed
-        # on the model
+        # integrand were too hard, in numpy warnings and a nan blamed on
+        # the model, or (-inf) in an argparse usage error
         code, out, err = run(
             capsys, "estimate-kl", "gaussian", "0", "1", "1", "1",
             "--truncate", lo, hi, "--nmax", "2",
@@ -597,6 +600,26 @@ class TestEstimateKlCommand:
         assert (code, out, err) == want
         assert out.startswith("1, ")
 
+    @pytest.mark.parametrize("mu1", ["-inf", "-NaN"])
+    def test_negative_non_finite_parameter_is_an_input_error(self, capsys, mu1):
+        # argparse took these for options and ended in a usage error, exit 2
+        code, out, err = run(
+            capsys, "estimate-kl", "gaussian", mu1, "1", "1", "1", "--truncate", "-12", "13",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: model parameters must be numbers") and err.count("\n") == 1
+
+    def test_level_cap_ends_the_ladder_with_exit_3(self, capsys, monkeypatch):
+        # a level with more cells than the cap is refused before anything is
+        # allocated, and the levels below it are printed
+        monkeypatch.setattr("kernelflow.borel._MAX_CELLS", cell_count(3))
+        code, out, err = run(
+            capsys, "estimate-kl", "gaussian", "0", "1", "1", "1",
+            "--truncate", "-12", "13", "--nmax", "6",
+        )
+        assert code == 3
+        assert [row.split(",")[0] for row in out.splitlines()] == ["1", "2", "3"]
+        assert err == f"error: level 4 needs {cell_count(4)} cells, more than {cell_count(3)}\n"
     def test_negative_seed_is_an_input_error(self, capsys):
         code, out, err = run(
             capsys, "estimate-kl", "gaussian", "0", "1", "1", "1",

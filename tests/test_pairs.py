@@ -59,11 +59,11 @@ class TestValidateCoherent:
     def test_identity_is_coherent(self):
         p = rand_distribution(AB, random.Random(0))
         pair = identity_pair(p)
-        assert pair.report.is_coherent
+        assert validate_coherent(pair.f, pair.s, pair.p, pair.q).is_coherent
 
     def test_coin_setup_is_coherent(self):
         pair = coin_pair()
-        assert pair.report.is_coherent
+        assert validate_coherent(pair.f, pair.s, pair.p, pair.q).is_coherent
         assert is_absolutely_coherent(pair)
 
     def test_fiber_violation_is_named(self):
@@ -134,7 +134,7 @@ class TestComposition:
         rng = random.Random(seed)
         first, second = rand_composable_pairs(rng)
         composite = compose_pairs(first, second)  # construction re-validates
-        assert composite.report.is_coherent
+        assert validate_coherent(composite.f, composite.s, composite.p, composite.q).is_coherent
 
     @given(seeds)
     @settings(max_examples=60, deadline=None)
