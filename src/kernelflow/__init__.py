@@ -67,7 +67,6 @@ from .scoring import (
     ForecastRecord,
     PropernessAudit,
     ScoreReport,
-    conditional_score,
     empirical_log_score,
     kl_score,
     meta_score,

@@ -338,7 +338,9 @@ def parse_piecewise(text: str) -> list[tuple[float, float, float, float]]:
     lines = _document_lines(text, PIECEWISE_TAG)
     pieces = []
     for lineno, tokens in lines[1:]:
-        if tokens[0] != "piece" or len(tokens) != 5:
+        if tokens[0] != "piece":
+            raise DocumentParseError(f"unknown directive {tokens[0]!r}", lineno)
+        if len(tokens) != 5:
             raise DocumentParseError("piece needs: piece <lo> <hi> <q-density> <ratio>", lineno)
         try:
             lo, hi, qd, r = (_number(t) for t in tokens[1:])

@@ -8,7 +8,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -23,8 +23,6 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -85,9 +83,9 @@ class FiniteDistribution:
     """
 
     space: FiniteSpace
-    mass: Mapping[str, Fraction] = field(compare=False)
+    mass: Mapping[str, Fraction]
 
-    def __init__(self, space: FiniteSpace, mass: Mapping[str, object]):
+    def __init__(self, space: FiniteSpace, mass: Mapping[str, Fraction | int]):
         index = space._index
         positive = []
         nums, dens = [], []
@@ -124,12 +122,8 @@ class FiniteDistribution:
             raise DomainMismatchError(f"{label!r} is not a point of the space")
         return ZERO
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FiniteDistribution):
-            return NotImplemented
-        return self.space == other.space and self.mass == other.mass
-
     def __hash__(self):
+        # the generated __eq__ serves, but a generated __hash__ would hash a dict
         return hash((self.space, tuple(self.mass.items())))
 
     def support(self) -> tuple[str, ...]:
@@ -220,16 +214,8 @@ class StochasticKernel:
             raise DomainMismatchError(f"{y!r} is not a source point")
         return self.rows[y]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StochasticKernel):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and all(self.rows[y] == other.rows[y] for y in self.source)
-        )
-
     def __hash__(self):
+        # as for FiniteDistribution: rows is a dict
         return hash((self.source, self.target, tuple(self.rows[y] for y in self.source)))
 
 

@@ -163,22 +163,18 @@ def identity_pair(p: FiniteDistribution) -> CoherentPair:
     return CoherentPair(ident, s, p, p)
 
 
-def singleton_pair(
-    p: FiniteDistribution,
-    hypothesis: FiniteDistribution,
-    label: str = "*",
-) -> CoherentPair:
-    """The morphism (X, p) -> ({label}, dirac) with the given hypothesis row.
+def singleton_pair(p: FiniteDistribution, hypothesis: FiniteDistribution) -> CoherentPair:
+    """The morphism (X, p) -> ({"*"}, dirac) with the given hypothesis row.
 
     This is how a plain forecast about X enters the category: every fiber
     condition is vacuous, so any hypothesis distribution on X is allowed.
     """
     if hypothesis.space != p.space:
         raise DomainMismatchError("hypothesis lives on the wrong space")
-    point = FiniteSpace((label,))
-    s = StochasticKernel(point, p.space, {label: hypothesis})
-    f = {x: label for x in p.space}
-    return CoherentPair(f, s, p, dirac(label, point))
+    point = FiniteSpace(("*",))
+    s = StochasticKernel(point, p.space, {"*": hypothesis})
+    f = {x: "*" for x in p.space}
+    return CoherentPair(f, s, p, dirac("*", point))
 
 
 def disintegration_pair(

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .entropy import (
-    INF,
-    LocalReDecomposition,
-    _ln_fraction,
-    convex_decompose,
-    kl_divergence,
-    re_fin,
-)
+from .entropy import INF, _ln_fraction, kl_divergence, re_fin
 from .errors import DomainMismatchError, IndeterminateScoreError
 from .finite import FiniteDistribution, FiniteSpace, StochasticKernel
 from .pairs import CoherentPair
@@ -87,16 +80,6 @@ def kl_score(truth: FiniteDistribution, forecast: FiniteDistribution) -> float:
     KL(truth || forecast), computed here directly.
     """
     return kl_divergence(truth, forecast)
-
-
-def conditional_score(joint_pair: CoherentPair) -> LocalReDecomposition:
-    """Expected score of per-scenario conditional forecasts, weighted by q.
-
-    Each entry is the score of the hypothesis row s_y against the true
-    conditional p_y; the total matches the relative entropy of the joint
-    morphism.
-    """
-    return convex_decompose(joint_pair)
 
 
 def sequential_scores(
@@ -183,10 +166,9 @@ class PropernessAudit:
     violations: tuple[str, ...]
 
 
-def _random_rational_distribution(
-    space: FiniteSpace, rng: random.Random, max_denominator: int = 64
-) -> FiniteDistribution:
-    d = rng.randint(len(space), max_denominator)
+def _random_rational_distribution(space: FiniteSpace, rng: random.Random) -> FiniteDistribution:
+    """Masses k/d summing to 1, for a random d from |space| to 64."""
+    d = rng.randint(len(space), 64)
     cuts = sorted(rng.randint(0, d) for _ in range(len(space) - 1))
     parts = [b - a for a, b in zip([0] + cuts, cuts + [d])]
     return FiniteDistribution(space, {x: Fraction(k, d) for x, k in zip(space, parts)})

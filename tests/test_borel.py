@@ -238,6 +238,12 @@ class TestBinMasses:
         with pytest.raises(DomainMismatchError):
             IntegratorSpec(kind="mc")
 
+    def test_mc_needs_a_sampler(self):
+        model = dataclasses.replace(gauss01_11(), sampler=None)
+        with pytest.raises(DomainMismatchError) as err:
+            bin_masses(model, 1, IntegratorSpec(kind="mc", seed=0))
+        assert str(err.value) == f"model {model.name!r} has no sampler for Monte Carlo"
+
     def test_unknown_integrator_kind(self):
         with pytest.raises(DomainMismatchError):
             IntegratorSpec(kind="simpson")
@@ -673,6 +679,11 @@ class TestModels:
         assert model.ratio(xs).tolist() == [0.5, 0.5]
         beyond = np.array([np.nextafter(1.0, 2.0)])
         assert model.ratio(beyond).tolist() == [0.0]
+
+    def test_piecewise_needs_a_piece(self):
+        with pytest.raises(DomainMismatchError) as err:
+            piecewise_constant_model([])
+        assert str(err.value) == "need at least one piece"
 
     def test_piecewise_rejects_overlap(self):
         with pytest.raises(DomainMismatchError):

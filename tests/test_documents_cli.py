@@ -30,7 +30,7 @@ from kernelflow.documents import (
 )
 from kernelflow.errors import DocumentParseError, IncoherentPairError
 from kernelflow.finite import pushforward, uniform
-from kernelflow.pairs import CoherentPair
+from kernelflow.pairs import CoherenceReport, CoherentPair
 
 COIN_DOC = """\
 morphism v1
@@ -365,6 +365,94 @@ class TestOtherDocuments:
             parse_piecewise("piecewise v1\npiece 1 0 1 1\n")
 
 
+# every parse error no other test reaches: (parser, text, line, message)
+PARSE_ERROR_CASES = {
+    "space_arity": (parse_morphism, COIN_DOC.replace("space toss H T", "space toss"), 3,
+                    "space needs a name and at least one point"),
+    "space_twice": (parse_morphism, COIN_DOC.replace("space toss H T", "space pairs H T"), 3,
+                    "space 'pairs' declared twice"),
+    "map_arity": (parse_morphism, COIN_DOC.replace("map HT H", "map HT"), 5,
+                  "map needs: map <x> <y>"),
+    "map_twice": (parse_morphism, COIN_DOC.replace("map HT H", "map HH H"), 5,
+                  "map defined twice at 'HH'"),
+    "p_arity": (parse_morphism, COIN_DOC.replace("p TH 1/4", "p TH 1/4 1/4"), 10,
+                "p needs: p <point> <fraction>"),
+    "q_arity": (parse_morphism, COIN_DOC + "q H\n", 16, "q needs: q <point> <fraction>"),
+    "p_twice": (parse_morphism, COIN_DOC.replace("p HT 1/4", "p HH 1/4"), 9,
+                "p('HH') given twice"),
+    "q_twice": (parse_morphism, COIN_DOC + "q T 1/2\nq T 1/2\n", 17, "q('T') given twice"),
+    "s_arity": (parse_morphism, COIN_DOC.replace("s T TH 1/3", "s T TH"), 14,
+                "s needs: s <y> <x> <fraction>"),
+    "s_twice": (parse_morphism, COIN_DOC.replace("s T TT 2/3", "s T TH 2/3"), 15,
+                "s('T', 'TH') given twice"),
+    "morphism_directive": (parse_morphism, COIN_DOC.replace("map TT T", "mapp TT T"), 7,
+                           "unknown directive 'mapp'"),
+    "one_space": (parse_morphism, COIN_DOC.replace("space toss H T\n", ""), 14,
+                  "expected exactly two spaces, found 1"),
+    "three_spaces": (parse_morphism, COIN_DOC + "space extra e\n", 16,
+                     "expected exactly two spaces, found 3"),
+    "no_p": (parse_morphism, "".join(l for l in COIN_DOC.splitlines(True) if l[0] != "p"), 11,
+             "missing p masses"),
+    "map_missing": (parse_morphism, COIN_DOC.replace("map TH T\n", ""), 14,
+                    "map undefined at point 'TH'"),
+    "distribution_space_twice": (parse_distribution, TRUTH_DOC + "space H T\n", 5,
+                                 "space declared twice"),
+    "mass_arity": (parse_distribution, TRUTH_DOC.replace("mass T 1/2", "mass T"), 4,
+                   "mass needs: mass <point> <fraction>"),
+    "mass_twice": (parse_distribution, TRUTH_DOC.replace("mass T", "mass H"), 4,
+                   "mass('H') given twice"),
+    "distribution_directive": (parse_distribution, TRUTH_DOC.replace("mass T", "weight T"), 4,
+                               "unknown directive 'weight'"),
+    "distribution_no_space": (parse_distribution, TRUTH_DOC.replace("space H T\n", ""), 3,
+                              "missing space declaration"),
+    "outcomes_twice": (parse_forecast_log, FORECAST_LOG + "outcomes H T\n", 5,
+                       "outcomes declared twice"),
+    "forecast_first": (parse_forecast_log,
+                       FORECAST_LOG.replace("outcomes H T\n", "") + "outcomes H T\n", 2,
+                       "forecast before outcomes declaration"),
+    "forecast_arity": (parse_forecast_log, FORECAST_LOG.replace("1/2 1/2", "1/2 1/4 1/4"), 4,
+                       "forecast needs: forecast <round> <forecaster> <outcome> and 2 fractions"),
+    "round_number": (parse_forecast_log, FORECAST_LOG.replace("forecast 2", "forecast two"), 4,
+                     "bad round number 'two'"),
+    "record_twice": (parse_forecast_log, FORECAST_LOG.replace("forecast 2", "forecast 1"), 4,
+                     "duplicate record for round 1, forecaster 'alice'"),
+    "forecast_directive": (parse_forecast_log, FORECAST_LOG + "forcast 3 alice H 1 0\n", 5,
+                           "unknown directive 'forcast'"),
+    "no_outcomes": (parse_forecast_log, "forecast-log v1\n# no records\n", 1,
+                    "missing outcomes declaration"),
+    "piece_arity": (parse_piecewise, PIECEWISE_DOC.replace("piece 1/2 1 1 1/2", "piece 1/2 1 1"), 3,
+                    "piece needs: piece <lo> <hi> <q-density> <ratio>"),
+    "no_pieces": (parse_piecewise, "piecewise v1\n\n", 1, "no pieces given"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERROR_CASES))
+def test_parse_errors_name_line_and_cause(case):
+    parser, text, line, message = PARSE_ERROR_CASES[case]
+    with pytest.raises(DocumentParseError) as err:
+        parser(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}, column 1: {message}"
+
+
+def test_piecewise_unknown_directive_is_named():
+    # a misspelt directive is reported as such, as in the other formats,
+    # not as a malformed piece
+    with pytest.raises(DocumentParseError) as err:
+        parse_piecewise("piecewise v1\npeice 0 1 1 1\n")
+    assert str(err.value) == "line 2, column 1: unknown directive 'peice'"
+
+
+def test_morphism_document_validate_reports_every_violation():
+    assert parse_morphism(COIN_DOC).validate() == CoherenceReport(True, ())
+    report = parse_morphism(VIOLATION_DOC + "q u 1/3\nq v 2/3\n").validate()
+    assert report == CoherenceReport(False, (
+        "pushforward mismatch at 'u': expected 1/3, got 1/2",
+        "pushforward mismatch at 'v': expected 2/3, got 1/2",
+        "hypothesis row at 'u' puts mass on 'b' outside the fiber",
+    ))
+
+
 @pytest.fixture
 def docs(tmp_path):
     paths = {}
@@ -443,6 +531,21 @@ class TestReCommand:
         assert "functoriality residual = " in out
         residual = float(out.rsplit("= ", 1)[1])
         assert abs(residual) < 1e-10
+
+    def test_both_sides_infinite(self, capsys, tmp_path):
+        # RE(first) = inf, RE(second) = 0, and the composite is infinite too
+        second = tmp_path / "second.txt"
+        second.write_text(
+            "morphism v1\nspace pt star\nspace one z\nmap star z\np star 1\ns z star 1\n"
+        )
+        first = tmp_path / "first.txt"
+        first.write_text(NOT_ABS_COHERENT_DOC)
+        assert run(capsys, "re", str(first), str(second)) == (
+            0,
+            "RE(first) = inf\nRE(second) = 0\nRE(composite) = inf\n"
+            "both sides infinite together: yes\n",
+            "",
+        )
 
     def test_non_composable(self, capsys, docs):
         code, _, err = run(capsys, "re", docs["half"], docs["collapse"])
@@ -750,6 +853,15 @@ class TestScoreCommand:
         code, _, err = run(capsys, "score", docs["seq"], "--mode", "sequential")
         assert code == 1
         assert "--truth" in err
+
+    def test_sequential_truth_on_other_outcomes(self, capsys, tmp_path, docs):
+        truth = tmp_path / "truth3.txt"
+        truth.write_text("distribution v1\nspace H T E\nmass H 1/2\nmass T 1/2\n")
+        code, out, err = run(
+            capsys, "score", docs["seq"], "--mode", "sequential", "--truth", str(truth),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: truth and log use different outcome spaces\n"
 
     def test_indeterminate_is_exit_4(self, capsys, tmp_path, docs):
         log = tmp_path / "inf.txt"

@@ -162,7 +162,7 @@ class TestLocalRe:
         assert local_re(pair, "*") == pytest.approx(HALF_LN_43, abs=1e-9)
 
     def test_null_fiber_is_undefined(self):
-        pair = singleton_pair(dirac("x1", X2), dirac("x1", X2), label="*")
+        pair = singleton_pair(dirac("x1", X2), dirac("x1", X2))
         ab = FiniteSpace(("u", "v"))
         p = dirac("x1", X2)
         dpair = disintegration_pair(p, {"x1": "u", "x2": "v"}, ab)

@@ -133,6 +133,25 @@ class TestSpacesAndDistributions:
                 FiniteDistribution(space, raw)
             assert str(err.value) == f"masses sum to {total}, not 1"
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ((), "a finite space needs at least one point"),
+            (("a", ""), "invalid point label ''"),
+            (("a", 3), "invalid point label 3"),
+        ],
+    )
+    def test_rejects_empty_space_and_bad_labels(self, points, message):
+        with pytest.raises(DomainMismatchError) as err:
+            FiniteSpace(points)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("mass", [0.5, "1/2"], ids=["float", "str"])
+    def test_mass_must_be_fraction_or_int(self, mass):
+        with pytest.raises(TypeError) as err:
+            FiniteDistribution(AB, {"a": mass, "b": Fraction(1, 2)})
+        assert str(err.value) == f"expected an exact rational, got {type(mass).__name__}"
+
     def test_unknown_label_raises(self):
         sp = FiniteSpace(("a", "b", "c"))
         assert sp.index("c") == 2
@@ -168,6 +187,11 @@ class TestPushforward:
         with pytest.raises(DomainMismatchError):
             pushforward(uniform(AB), {"a": "w", "b": "u"}, UV)
 
+    def test_map_undefined_at_a_point_is_error(self):
+        with pytest.raises(DomainMismatchError) as err:
+            pushforward(uniform(AB), {"a": "u"}, UV)
+        assert str(err.value) == "map undefined at point 'b'"
+
 
 class TestDiracAndFlatten:
     def test_dirac_definition(self):
@@ -194,6 +218,14 @@ class TestDiracAndFlatten:
     def test_flatten_rejects_mixed_spaces(self):
         with pytest.raises(DomainMismatchError):
             flatten([(Fraction(1, 2), uniform(AB)), (Fraction(1, 2), uniform(UV))])
+
+    def test_flatten_rejects_empty_and_unnormalized_mixtures(self):
+        with pytest.raises(DomainMismatchError) as err:
+            flatten([])
+        assert str(err.value) == "cannot flatten an empty mixture"
+        with pytest.raises(DomainMismatchError) as err:
+            flatten([(Fraction(1, 2), uniform(AB)), (Fraction(1, 4), dirac("a", AB))])
+        assert str(err.value) == "outer weights sum to 3/4, not 1"
 
     @given(seeds)
     @settings(max_examples=60, deadline=None)
@@ -243,6 +275,40 @@ class TestKernels:
         s = deterministic_kernel({"u": "a", "v": "b"}, UV, AB)
         with pytest.raises(DomainMismatchError):
             kleisli_compose(s, s)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ({"u": uniform(AB)}, "kernel has no row for source point 'v'"),
+            ({"u": uniform(AB), "v": uniform(UV)}, "row at 'v' lives on the wrong space"),
+            (
+                {"u": uniform(AB), "v": uniform(AB), "w": uniform(AB), "x": uniform(AB)},
+                "rows given for unknown points ['w', 'x']",
+            ),
+        ],
+        ids=["missing", "wrong-space", "unknown"],
+    )
+    def test_rows_must_match_the_spaces(self, rows, message):
+        with pytest.raises(DomainMismatchError) as err:
+            StochasticKernel(UV, AB, rows)
+        assert str(err.value) == message
+
+    def test_unknown_source_point_and_wrong_input_space(self):
+        s = deterministic_kernel({"u": "a", "v": "b"}, UV, AB)
+        with pytest.raises(DomainMismatchError) as err:
+            s("a")
+        assert str(err.value) == "'a' is not a source point"
+        with pytest.raises(DomainMismatchError) as err:
+            kernel_apply(s, uniform(AB))
+        assert str(err.value) == "distribution space does not match kernel source"
+
+    def test_equality_with_another_type_is_not_implemented(self):
+        d = uniform(AB)
+        s = deterministic_kernel({"u": "a", "v": "b"}, UV, AB)
+        assert d.__eq__(AB) is NotImplemented and s.__eq__(d) is NotImplemented
+        assert d != AB and s != d
+        assert s == deterministic_kernel({"u": "a", "v": "b"}, UV, AB)
+        assert s != deterministic_kernel({"u": "b", "v": "a"}, UV, AB)
 
     @given(seeds)
     @settings(max_examples=60, deadline=None)

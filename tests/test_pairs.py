@@ -86,6 +86,21 @@ class TestValidateCoherent:
         assert any("pushforward mismatch" in v for v in report.violations)
 
 
+class TestShapes:
+    def test_misaligned_shapes(self):
+        f = {"a": "u", "b": "v"}
+        s = StochasticKernel(UV, AB, {"u": dirac("a", AB), "v": dirac("b", AB)})
+        for p, q in ((uniform(UV), None), (uniform(AB), uniform(AB))):
+            with pytest.raises(DomainMismatchError) as err:
+                CoherentPair(f, s, p, q)
+            assert str(err.value) == "pair shapes do not align with the kernel"
+
+    def test_singleton_hypothesis_on_another_space(self):
+        with pytest.raises(DomainMismatchError) as err:
+            singleton_pair(uniform(AB), uniform(UV))
+        assert str(err.value) == "hypothesis lives on the wrong space"
+
+
 class TestAbsoluteCoherence:
     def test_disintegration_is_absolutely_coherent(self):
         rng = random.Random(1)

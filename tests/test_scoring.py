@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelflow.entropy import INF, re_fin
+from kernelflow.entropy import INF, convex_decompose, re_fin
 from kernelflow.errors import DomainMismatchError, IndeterminateScoreError
 from kernelflow.finite import (
     FiniteDistribution,
@@ -22,7 +22,6 @@ from kernelflow.finite import (
 from kernelflow.pairs import CoherentPair, singleton_pair
 from kernelflow.scoring import (
     ForecastRecord,
-    conditional_score,
     empirical_log_score,
     kl_score,
     meta_kernel,
@@ -155,7 +154,7 @@ def coin_joint_pair():
 
 class TestConditionalScore:
     def test_coin_example(self):
-        dec = conditional_score(coin_joint_pair())
+        dec = convex_decompose(coin_joint_pair())
         # both locals are KL((1/2,1/2) || (2/3,1/3)) by symmetry
         local = 0.5 * math.log(3 / 4) + 0.5 * math.log(3 / 2)
         for _, weight, l in dec.entries:
@@ -172,7 +171,7 @@ class TestConditionalScore:
         p = uniform(both)
         dis = disintegrate(p, f, COIN)
         pair = CoherentPair(f, dis.kernel, p, pushforward(p, f, COIN))
-        dec = conditional_score(pair)
+        dec = convex_decompose(pair)
         assert dec.total == 0.0
         assert all(l == 0.0 for _, _, l in dec.entries)
 
@@ -278,6 +277,12 @@ class TestMetaScore:
         got = meta_score(joint, marginal, second)
         assert got == kl_score(coin("1/2"), coin("1/4"))
 
+    def test_row_on_the_wrong_space(self):
+        fs = FiniteSpace(("gH", "gT"))
+        with pytest.raises(DomainMismatchError) as err:
+            meta_kernel(COIN, fs, {"gH": coin("1/2"), "gT": uniform(fs)})
+        assert str(err.value) == "row for 'gT' lives on the wrong space"
+
     def test_marginal_mismatch(self):
         fs, prod, joint, marginal = self.two_by_two()
         bad = FiniteDistribution(fs, {"gH": Fraction(1, 4), "gT": Fraction(3, 4)})
@@ -317,6 +322,14 @@ class TestPropernessAudit:
         improper = lambda p, q: -kl_score(p, q)
         audit = properness_audit(COIN, trials=50, seed=7, scorer=improper)
         assert audit.violations  # sensitivity check
+
+    def test_constant_scorer_violations_are_named(self):
+        # S(p, p) = 1 is not 0, and S(p, q) = S(p, p) has no strict gap
+        audit = properness_audit(COIN, trials=1, seed=7, scorer=lambda p, q: 1.0)
+        assert audit.violations == (
+            "trial 0: S(p,p) = 1.0, not 0",
+            "trial 0: no strict gap although p != q",
+        )
 
     def test_rejects_nonpositive_trials(self):
         with pytest.raises(DomainMismatchError):
