@@ -23,15 +23,21 @@ their IntegratorSpec.  A level with more than _MAX_CELLS cells is refused
 before anything is allocated.
 
 The refinement ladder (estimate_kl) carries work from level n - 1 to
-level n.  Level n - 1's cell edge j 2^-(n-1) is level n's edge 2j 2^-n,
+level n.  Level n - 1's cell edge h 2^-(n-1) is level n's edge 2h 2^-n,
 the same float, and bisecting a crossing depends only on the panel and
-the edge; a panel lies in one level-n cell only if it lies in one
-level-(n - 1) cell, so every monotone panel of level n - 1 is split out
-again at level n.  Level n therefore copies the right bracket end and the
-error term of each even-edge crossing from level n - 1 and bisects only
-the rest.  The Monte Carlo sample is drawn and its ratio checked once per
-ladder and only re-binned at each level.  Every level is bit-identical to
-bin_masses run from scratch.
+the edge.  A panel is accepted as monotone at every level alike, and one
+that stays in one level-n cell stays in one level-(n - 1) cell, so, the
+panel lists being built by order-preserving filters, every level-(n - 1)
+panel with a crossing is a level-n panel, in the same relative order,
+and any other level-n panel lies, as far as samples show, inside one
+level-(n - 1) cell.  Level n - 1's crossings are therefore, in order,
+level n's crossings of even edges 2h <= (n - 1) 2^n (the even edges
+above lay inside level n - 1's tail cell).  Level n copies their right
+bracket ends and error terms and bisects only the rest; if its panels
+with such crossings are not level n - 1's panels with crossings, it
+bisects every crossing.  The Monte Carlo sample is drawn and its ratio
+checked once per ladder and only re-binned at each level.  Every level
+is bit-identical to bin_masses run from scratch.
 """
 
 from __future__ import annotations
@@ -80,8 +86,9 @@ class DensityModel:
     raises DomainMismatchError where they do not (Monte Carlo checks only
     the ratio at its samples).  For quadrature on an unbounded support a
     truncation interval capturing all but <= 1e-10 of both masses must be
-    supplied; the leftover is folded into the boundary cell and reported
-    on the level.
+    supplied; each measure's leftover is folded into the cell of the ratio
+    at the truncation's upper end if the support extends past it, else at
+    its lower end, and reported on the level.
 
     Known limit: the quadrature sees the ratio only at its panel samples
     and Gauss nodes, so a spike narrower than their spacing goes unseen.
@@ -189,16 +196,15 @@ class _Ladder:
     """What one refinement ladder carries from a level to the next.
 
     ratio is the Monte Carlo sample's ratio, drawn and checked once.  For
-    the quadrature, n is the last level whose crossings are kept: panels
-    holds the a, b, first edge, first crossing index and crossing count of
-    each panel with crossings, sorted by a, and cuts and terms hold each
-    crossing's right bracket end and error term.
+    the quadrature, n is the last level whose crossings are kept, a and b
+    are the ends of its panels with crossings, and cuts and terms hold each
+    crossing's right bracket end and error term, in order.
     """
 
     def __init__(self):
         self.ratio = None
         self.n = 0  # no level kept yet
-        self.panels = self.cuts = self.terms = None
+        self.a = self.b = self.cuts = self.terms = np.empty(0)
 
 
 def _level(model: DensityModel, n: int, integrator: IntegratorSpec, ladder: _Ladder) -> PartitionLevel:
@@ -257,8 +263,6 @@ def _bin_masses_quad(model: DensityModel, n: int, ladder: _Ladder) -> PartitionL
         exc.partial = PartitionLevel(n, p_mass, q_mass, INF)
         raise
 
-    np.maximum(q_mass, 0.0, out=q_mass)
-    np.maximum(p_mass, 0.0, out=p_mass)
     # q and p are probability measures; a truncation may leave out 1e-10
     tol = _MODEL_VALIDATION_TOL + 1e-10 + err
     for what, mass in (("base density", q_mass), ("ratio * base density", p_mass)):
@@ -271,8 +275,9 @@ def _bin_masses_quad(model: DensityModel, n: int, ladder: _Ladder) -> PartitionL
     folded_q = folded_p = 0.0
     s_lo, s_hi = model.support
     if s_lo < lo or s_hi > hi:
-        # mass beyond the declared truncation (<= 1e-10 by contract) goes
-        # into the cell at the heavier boundary
+        # the mass of each measure beyond the declared truncation (<= 1e-10
+        # by contract) goes into the cell of the ratio at hi if the support
+        # extends past hi, else into the cell of the ratio at lo
         folded_q = max(0.0, 1.0 - float(q_mass.sum()))
         folded_p = max(0.0, 1.0 - float(p_mass.sum()))
         edge = hi if s_hi > hi else lo
@@ -353,56 +358,41 @@ def _crossings(model: DensityModel, a, b, r_a, r_b, n: int, ladder: _Ladder):
     bracketed by bisection on the ratio alone until the bracket ends are
     adjacent floats, _CHUNK crossings at a time to bound memory.  Returns
     the right bracket ends and, as error, each bracket's width times the
-    larger q + p at its ends, summed per block.  A crossing of an even
-    edge 2j that the ladder's level n - 1 bracketed as edge j in the same
-    panel is copied from there; the rest are bisected.  The level's
-    crossings are kept on the ladder for level n + 1.
+    larger q + p at its ends, summed per block.  The crossings the ladder
+    kept from level n - 1 are copied, and this level's are kept.
     """
     c_a, c_b = _cell_of(r_a, n), _cell_of(r_b, n)
     rising = c_b > c_a
     count = np.abs(c_b - c_a)
     total = int(count.sum())
     _require_room(total, n)
-    first = np.minimum(c_a, c_b) + 1
     start = np.cumsum(count) - count
     panel = np.repeat(np.arange(a.size), count)
-    j = np.arange(total) + (first - start)[panel]
-    # level n - 1's crossings of each panel: edges [old_lo, old_hi) of that
-    # level, the one of edge h at index shift + h
-    old_lo = old_hi = shift = np.zeros(a.size, dtype=np.int64)
-    if ladder.cuts is not None and ladder.cuts.size and ladder.n == n - 1:
-        p_a, p_b, p_first, p_start, p_count = ladder.panels
-        at = np.minimum(np.searchsorted(p_a, a), p_a.size - 1)
-        same = (p_a[at] == a) & (p_b[at] == b)
-        old_lo = np.where(same, p_first[at], 0)
-        old_hi = np.where(same, p_first[at] + p_count[at], 0)
-        shift = p_start[at] - p_first[at]
+    j = np.arange(total) + (np.minimum(c_a, c_b) + 1 - start)[panel]
     cuts = np.empty(total)
     terms = np.empty(total)
+    # level n - 1's crossings, in order (see the module docstring)
+    old = ((j & 1) == 0) & (j <= (n - 1) << n)
+    has = np.bincount(panel[old], minlength=a.size) > 0
+    new = np.ones(total, dtype=bool)
+    if ladder.n == n - 1 and np.array_equal(a[has], ladder.a) and np.array_equal(b[has], ladder.b):
+        cuts[old], terms[old] = ladder.cuts, ladder.terms
+        new = ~old
     err = 0.0
     for s in range(0, total, _CHUNK):
-        block, edge = panel[s:s + _CHUNK], j[s:s + _CHUNK]
+        block, edge, fresh = panel[s:s + _CHUNK], j[s:s + _CHUNK], new[s:s + _CHUNK]
         right, term = cuts[s:s + _CHUNK], terms[s:s + _CHUNK]
-        h = edge >> 1
-        old = ((edge & 1) == 0) & (old_lo[block] <= h) & (h < old_hi[block])
-        if old.any():
-            src = shift[block[old]] + h[old]
-            right[old] = ladder.cuts[src]
-            term[old] = ladder.terms[src]
-        new = ~old
-        if new.any():
-            at = block[new]
-            left, r = _bisect(model, a[at], b[at], edge[new] * 2.0**-n, rising[at])
+        if fresh.any():
+            at = block[fresh]
+            left, r = _bisect(model, a[at], b[at], edge[fresh] * 2.0**-n, rising[at])
             ends = np.stack([left, r])
             q = _checked(model, ends, "base density", model.base_density(ends))
             p = _checked(model, ends, "ratio * base density", q * model.ratio(ends))
-            term[new] = (r - left) * (q + p).max(axis=0)
-            right[new] = r
+            term[fresh] = (r - left) * (q + p).max(axis=0)
+            right[fresh] = r
         err += float(np.sum(term))
     keep = count > 0
-    order = np.argsort(a[keep])
-    ladder.n = n
-    ladder.panels = tuple(col[keep][order] for col in (a, b, first, start, count))
+    ladder.n, ladder.a, ladder.b = n, a[keep], b[keep]
     ladder.cuts, ladder.terms = cuts, terms
     return cuts, err
 
@@ -543,13 +533,10 @@ def estimate_kl(
 
     Stops early after two consecutive sub-tolerance increments; the trace
     of lower bounds is nondecreasing up to integration error.  Level 1
-    checks the model contract as every level of bin_masses does.
-
-    Each level reuses level n - 1's work: the quadrature copies the
-    crossings of level n - 1's edges, which are level n's even edges, in
-    the panels both levels share, and Monte Carlo re-bins one sample.
-    Bisection depends only on the panel and the edge, so every row equals
-    the one a fresh bin_masses call gives, err_est included.
+    checks the model contract as every level of bin_masses does.  Each
+    level reuses level n - 1's crossings or Monte Carlo sample (see the
+    module docstring), and every row equals the one a fresh bin_masses
+    call gives, err_est included.
     """
     if n_max < 1:
         raise DomainMismatchError("n_max must be >= 1")

@@ -163,20 +163,22 @@ def pushforward(
 
 def flatten(pairs: Iterable[tuple[object, FiniteDistribution]]) -> FiniteDistribution:
     """Monad multiplication: mix (weight, distribution) pairs on one space."""
-    pairs = list(pairs)
+    pairs = [(_as_fraction(w), d) for w, d in pairs]
     if not pairs:
         raise DomainMismatchError("cannot flatten an empty mixture")
     space = pairs[0][1].space
-    total = sum(_as_fraction(w) for w, _ in pairs)
+    for w, _ in pairs:
+        if w < 0:
+            raise DomainMismatchError(f"outer weight {w} is negative")
+    total = sum(w for w, _ in pairs)
     if total != ONE:
         raise DomainMismatchError(f"outer weights sum to {total}, not 1")
-    out = {x: ZERO for x in space}
+    out = {}
     for w, d in pairs:
         if d.space != space:
             raise DomainMismatchError("mixture components live on different spaces")
-        w = _as_fraction(w)
-        for x in space:
-            out[x] += w * d(x)
+        for x, m in d.items():
+            out[x] = out.get(x, ZERO) + w * m
     return FiniteDistribution(space, out)
 
 

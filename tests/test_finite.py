@@ -227,6 +227,14 @@ class TestDiracAndFlatten:
             flatten([(Fraction(1, 2), uniform(AB)), (Fraction(1, 4), dirac("a", AB))])
         assert str(err.value) == "outer weights sum to 3/4, not 1"
 
+    def test_flatten_rejects_negative_weights(self):
+        # both mixtures' weights sum to 1; the first would even give a
+        # distribution, the second a negative mass at b
+        for first, second in ((uniform(AB), uniform(AB)), (dirac("a", AB), dirac("b", AB))):
+            with pytest.raises(DomainMismatchError) as err:
+                flatten([(Fraction(3, 2), first), (Fraction(-1, 2), second)])
+            assert str(err.value) == "outer weight -1/2 is negative"
+
     @given(seeds)
     @settings(max_examples=60, deadline=None)
     def test_monad_unit_laws(self, seed):
