@@ -7,7 +7,6 @@ from .borel import (
     IntegratorSpec,
     KlTrace,
     PartitionLevel,
-    agreement_check,
     bin_masses,
     discretized_kl,
     estimate_kl,
@@ -28,7 +27,6 @@ from .entropy import (
     kl_divergence,
     local_re,
     re_fin,
-    scaled_functor,
 )
 from .errors import (
     DocumentParseError,

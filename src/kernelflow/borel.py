@@ -153,12 +153,6 @@ def cell_count(n: int) -> int:
     return n * (1 << n) + 1
 
 
-def cell_interval(n: int, k: int) -> tuple[float, float]:
-    if k == n * (1 << n):
-        return (float(n), INF)
-    return (k * 2.0**-n, (k + 1) * 2.0**-n)
-
-
 def _cell_of(r: np.ndarray, n: int) -> np.ndarray:
     tail = n * (1 << n)
     idx = np.floor(np.clip(r, 0.0, n) * (1 << n)).astype(np.int64)
@@ -562,44 +556,6 @@ def estimate_kl(
         exc.partial = KlTrace(tuple(rows), False, rows[-1][1] if rows else INF)
         raise
     return KlTrace(tuple(rows), converged, rows[-1][1])
-
-
-# midpoint-grid intervals of agreement_check's reference integral
-_AGREEMENT_GRID = 1_000_001
-
-
-def agreement_check(model: DensityModel, level: PartitionLevel) -> float:
-    """Max deviation between stored p-masses and the simple-function model.
-
-    The simple function is p_mass/q_mass on each cell; integrating it
-    against the base density over the cell must reproduce p_mass, so any
-    deviation is integration error.  The reference integral uses an
-    independent dense midpoint grid; grid intervals straddling a ratio-cell
-    boundary are subdivided so the reference's own binning error stays far
-    below the deviations it is meant to expose.
-    """
-    lo, hi = model.quad_interval()
-    nc = cell_count(level.n)
-    q_ref = np.zeros(nc)
-    edges = np.linspace(lo, hi, _AGREEMENT_GRID + 1)
-    edge_cells = _cell_of(model.ratio(edges), level.n)
-    straddle = edge_cells[:-1] != edge_cells[1:]
-    w = (hi - lo) / _AGREEMENT_GRID
-    mids = edges[:-1] + 0.5 * w
-    q_mid = model.base_density(mids)
-    plain = ~straddle
-    np.add.at(q_ref, edge_cells[:-1][plain], q_mid[plain] * w)
-    if np.any(straddle):
-        sub = 256
-        a = edges[:-1][straddle]
-        offs = (np.arange(sub) + 0.5)[:, None] * (w / sub)
-        xs = a[None, :] + offs
-        cells = _cell_of(model.ratio(xs), level.n)
-        np.add.at(q_ref, cells.ravel(), model.base_density(xs).ravel() * (w / sub))
-    occupied = level.q_mass > 0
-    simple = np.zeros(nc)
-    simple[occupied] = level.p_mass[occupied] / level.q_mass[occupied]
-    return float(np.max(np.abs(level.p_mass - simple * q_ref), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,8 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise DocumentParseError(f"cannot read {path}: {exc.strerror}", 1)
+    except UnicodeDecodeError as exc:
+        raise DocumentParseError(f"cannot read {path}: not {exc.encoding} text ({exc.reason})", 1)
 
 
 def _load_pair(path: str):
@@ -188,9 +190,12 @@ def cmd_score(args) -> int:
             print(f"telescoped check: {_fmt(telescoped)} vs {_fmt(direct)}")
         summary["scores"] = scores
     if args.summary:
-        Path(args.summary).write_text(
-            json.dumps(summary, indent=2, default=str) + "\n"
-        )
+        try:
+            Path(args.summary).write_text(
+                json.dumps(summary, indent=2, default=str) + "\n"
+            )
+        except OSError as exc:
+            raise KernelflowError(f"cannot write {args.summary}: {exc.strerror}")
     return EXIT_OK
 
 

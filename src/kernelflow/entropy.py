@@ -171,10 +171,3 @@ def check_lsc_on_sequence(target: CoherentPair, approximants: list[CoherentPair]
     liminf = min(re_fin(pair).value for pair in tail)
     value = re_fin(target).value
     return LscCheck(liminf, value <= liminf + _LSC_TOL)
-
-
-def scaled_functor(c: float, pair: CoherentPair) -> float:
-    """c times the pair's relative entropy, with inf * 0 = 0."""
-    if c < 0:
-        raise DomainMismatchError("scale must be nonnegative")
-    return ext_mul(c, re_fin(pair).value)

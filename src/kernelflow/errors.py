@@ -37,9 +37,9 @@ class IntegrationToleranceError(KernelflowError):
 
 
 class DocumentParseError(KernelflowError):
-    """A text document is malformed; carries the offending position."""
+    """A text document is malformed; carries the offending line."""
 
-    def __init__(self, message: str, line: int, column: int = 1):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int):
+        # every message keeps the "line N, column 1: " prefix readers match on
+        super().__init__(f"line {line}, column 1: {message}")
         self.line = line
-        self.column = column

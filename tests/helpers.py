@@ -1,25 +1,33 @@
-"""Shared random-instance generators and independent oracles.
+"""Shared random-instance generators, independent oracles and law suites.
 
 The oracles here deliberately avoid the library's own code paths: KL sums
-are plain float arithmetic over mass dicts, and the level-n exponential
-reference inverts the monotone density ratio and uses the closed-form CDFs.
+are plain float arithmetic over mass dicts, the level-n exponential
+reference inverts the monotone density ratio and uses the closed-form CDFs,
+and agreement_check integrates on its own dense midpoint grid.  The law
+suites take any functor F(pair) -> [0, inf] and count the instances on
+which it breaks one of the laws that single out c * RE.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import string
 from fractions import Fraction
 
-from kernelflow.borel import cell_count, cell_interval
+import numpy as np
+
+from kernelflow.borel import DensityModel, PartitionLevel, cell_count
+from kernelflow.entropy import ext_mul, re_fin
+from kernelflow.errors import DomainMismatchError
 from kernelflow.finite import (
     FiniteDistribution,
     FiniteSpace,
     StochasticKernel,
     pushforward,
 )
-from kernelflow.pairs import CoherentPair
+from kernelflow.pairs import CoherentPair, compose_pairs, disintegration_pair, singleton_pair
 
 INF = math.inf
 
@@ -262,3 +270,146 @@ def exponential_kl_oracle(n: int) -> float:
         if p > 0 and q > 0:
             terms.append(p * math.log(p / q))
     return math.fsum(terms)
+
+
+def cell_interval(n: int, k: int) -> tuple[float, float]:
+    """The ratio values [lo, hi) of level-n cell k; the last cell is [n, inf)."""
+    if k == n * (1 << n):
+        return (float(n), INF)
+    return (k * 2.0**-n, (k + 1) * 2.0**-n)
+
+
+def _cell_index(r: np.ndarray, n: int) -> np.ndarray:
+    # floor of r 2^n, with every r >= n in the tail cell n 2^n
+    tail = n * (1 << n)
+    idx = np.floor(np.clip(r, 0.0, n) * (1 << n)).astype(np.int64)
+    return np.where(r >= n, tail, np.minimum(idx, tail))
+
+
+# midpoint-grid intervals of agreement_check's reference integral
+_AGREEMENT_GRID = 1_000_001
+
+
+def agreement_check(model: DensityModel, level: PartitionLevel) -> float:
+    """Max deviation between stored p-masses and the simple-function model.
+
+    The simple function is p_mass/q_mass on each cell; integrating it
+    against the base density over the cell must reproduce p_mass, so any
+    deviation is integration error.  The reference integral uses an
+    independent dense midpoint grid; grid intervals straddling a ratio-cell
+    boundary are subdivided so the reference's own binning error stays far
+    below the deviations it is meant to expose.
+    """
+    lo, hi = model.quad_interval()
+    nc = cell_count(level.n)
+    q_ref = np.zeros(nc)
+    edges = np.linspace(lo, hi, _AGREEMENT_GRID + 1)
+    edge_cells = _cell_index(model.ratio(edges), level.n)
+    straddle = edge_cells[:-1] != edge_cells[1:]
+    w = (hi - lo) / _AGREEMENT_GRID
+    mids = edges[:-1] + 0.5 * w
+    q_mid = model.base_density(mids)
+    plain = ~straddle
+    np.add.at(q_ref, edge_cells[:-1][plain], q_mid[plain] * w)
+    if np.any(straddle):
+        sub = 256
+        a = edges[:-1][straddle]
+        offs = (np.arange(sub) + 0.5)[:, None] * (w / sub)
+        xs = a[None, :] + offs
+        cells = _cell_index(model.ratio(xs), level.n)
+        np.add.at(q_ref, cells.ravel(), model.base_density(xs).ravel() * (w / sub))
+    occupied = level.q_mass > 0
+    simple = np.zeros(nc)
+    simple[occupied] = level.p_mass[occupied] / level.q_mass[occupied]
+    return float(np.max(np.abs(level.p_mass - simple * q_ref), initial=0.0))
+
+
+def scaled_functor(c: float, pair: CoherentPair) -> float:
+    """c times the pair's relative entropy, with inf * 0 = 0."""
+    if c < 0:
+        raise DomainMismatchError("scale must be nonnegative")
+    return ext_mul(c, re_fin(pair).value)
+
+
+# ---------------------------------------------------------------------------
+# Law suites for a functor F(pair) -> [0, inf].  Each draws its instances
+# with the generator and seed of acceptance criteria 1-3 and returns how
+# many of them break the law.
+
+LAW_TOL = 1e-10  # how far two finite values may differ and still agree
+
+
+def _apart(a: float, b: float) -> bool:
+    # inf agrees only with inf; nan agrees with nothing
+    if INF in (a, b):
+        return a != b
+    return not abs(a - b) <= LAW_TOL
+
+
+@functools.cache
+def _vanishing_instances() -> tuple[CoherentPair, ...]:
+    rng = random.Random(101)
+    pairs = []
+    for _ in range(200):
+        xs = rand_space(rng, 8, "x")
+        ys = rand_space(rng, min(4, len(xs)), "y")
+        f = rand_map(rng, xs, ys, onto=True)
+        p = rand_distribution(xs, rng, max_den=64)
+        pairs.append(disintegration_pair(p, f, ys))
+    return tuple(pairs)
+
+
+@functools.cache
+def _functoriality_instances() -> tuple[tuple[CoherentPair, CoherentPair, CoherentPair], ...]:
+    rng = random.Random(202)
+    triples = []
+    for _ in range(500):
+        first, second = rand_composable_pairs(rng, absolutely=True)
+        triples.append((first, second, compose_pairs(first, second)))
+    return tuple(triples)
+
+
+@functools.cache
+def _convexity_instances() -> tuple[tuple[CoherentPair, tuple], ...]:
+    """Pairs with their fibres: (q(y), the singleton pair of p given y
+    against the hypothesis row at y) for each y with q(y) > 0."""
+    rng = random.Random(303)
+    instances = []
+    for i in range(300):
+        pair = rand_coherent_pair(rng, absolutely=False if i % 5 == 4 else None)
+        fibres = []
+        for y, qy in pair.q.items():
+            given_y = {x: px / qy for x, px in pair.p.items() if pair.f[x] == y}
+            p_y = FiniteDistribution(pair.p.space, given_y)
+            fibres.append((qy, singleton_pair(p_y, pair.s(y))))
+        instances.append((pair, tuple(fibres)))
+    return tuple(instances)
+
+
+def vanishing_failures(functor) -> int:
+    """Optimal pairs (hypothesis = the disintegration of p) where F > 0."""
+    return sum(not functor(pair) <= LAW_TOL for pair in _vanishing_instances())
+
+
+def functoriality_failures(functor) -> int:
+    """Composable pairs where F(second . first) != F(first) + F(second)."""
+    return sum(
+        _apart(functor(composite), functor(first) + functor(second))
+        for first, second, composite in _functoriality_instances()
+    )
+
+
+def convexity_failures(functor) -> int:
+    """Pairs where F(pair) != sum over y of q(y) * F(fibre at y), with
+    inf * 0 = 0."""
+    return sum(
+        _apart(functor(pair), math.fsum(ext_mul(float(qy), functor(fibre)) for qy, fibre in fibres))
+        for pair, fibres in _convexity_instances()
+    )
+
+
+LAW_SUITES = {
+    "vanishing": vanishing_failures,
+    "functoriality": functoriality_failures,
+    "convexity": convexity_failures,
+}

@@ -31,14 +31,13 @@ import pytest
 import kernelflow
 from kernelflow.borel import (
     IntegratorSpec,
-    agreement_check,
     bin_masses,
     discretized_kl,
     exponential_model,
     gaussian_model,
 )
 from kernelflow.documents import parse_morphism
-from kernelflow.entropy import check_functoriality, convex_decompose, re_fin, scaled_functor
+from kernelflow.entropy import check_functoriality, convex_decompose, re_fin
 from kernelflow.finite import (
     FiniteDistribution,
     FiniteSpace,
@@ -54,6 +53,7 @@ from kernelflow.pairs import disintegration_pair, validate_coherent
 from kernelflow.scoring import kl_score, properness_audit, sequential_scores, total_variation
 
 from helpers import (
+    agreement_check,
     direct_kl,
     exponential_kl_oracle,
     rand_coherent_pair,
@@ -62,6 +62,7 @@ from helpers import (
     rand_map,
     rand_masses,
     rand_space,
+    scaled_functor,
 )
 
 INF = math.inf

@@ -19,10 +19,8 @@ from kernelflow import borel
 from kernelflow.borel import (
     DensityModel,
     IntegratorSpec,
-    agreement_check,
     bin_masses,
     cell_count,
-    cell_interval,
     discretized_kl,
     estimate_kl,
     exponential_kl,
@@ -35,7 +33,7 @@ from kernelflow.borel import (
 )
 from kernelflow.errors import DomainMismatchError, IntegrationToleranceError
 
-from helpers import exponential_kl_oracle
+from helpers import agreement_check, cell_interval, exponential_kl_oracle
 
 INF = math.inf
 QUAD = IntegratorSpec()

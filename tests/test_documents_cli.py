@@ -785,6 +785,16 @@ def with_files(tmp_path, argv):
     return args
 
 
+@pytest.mark.parametrize("command", ["validate", "score", "estimate-kl"])
+def test_document_that_is_not_text_is_a_parse_error(capsys, tmp_path, command):
+    doc = tmp_path / "binary.txt"
+    doc.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, command, str(doc))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: line 1, column 1: cannot read {doc}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("case", sorted(HUGE_NUMBER_CASES))
 def test_huge_numbers_end_in_typed_errors(capsys, tmp_path, case):
     argv, want_code, want_err = HUGE_NUMBER_CASES[case]
@@ -897,3 +907,14 @@ class TestScoreCommand:
         assert data["reports"][0]["total"] == pytest.approx(
             -math.log(2 / 3) - math.log(1 / 2), abs=1e-12
         )
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_summary_is_an_error(self, capsys, tmp_path, docs, where):
+        if where == "directory":
+            summary, reason = tmp_path, "Is a directory"
+        else:
+            summary, reason = tmp_path / "missing" / "summary.json", "No such file or directory"
+        code, out, err = run(capsys, "score", docs["log"], "--summary", str(summary))
+        assert code == 1
+        assert "alice, total: " in out
+        assert err == f"error: cannot write {summary}: {reason}\n"
