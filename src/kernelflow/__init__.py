@@ -24,8 +24,6 @@ from .entropy import (
     check_functoriality,
     check_lsc_on_sequence,
     convex_decompose,
-    kl_divergence,
-    local_re,
     re_fin,
 )
 from .errors import (

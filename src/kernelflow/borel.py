@@ -206,9 +206,7 @@ def _level(model: DensityModel, n: int, integrator: IntegratorSpec, ladder: _Lad
     if n < 1:
         raise DomainMismatchError("refinement level must be >= 1")
     if cell_count(n) > _MAX_CELLS:
-        raise IntegrationToleranceError(
-            f"level {n} needs {cell_count(n)} cells, more than {_MAX_CELLS}", achieved=INF
-        )
+        raise IntegrationToleranceError(f"level {n} needs {cell_count(n)} cells, more than {_MAX_CELLS}")
     # floating-point warnings stay off for the whole level: an overflow or a
     # 0 * inf in a model's output shows up as a non-finite value, which
     # _checked turns into a DomainMismatchError
@@ -282,7 +280,6 @@ def _bin_masses_quad(model: DensityModel, n: int, ladder: _Ladder) -> PartitionL
     if err > _ERR_CEILING:
         raise IntegrationToleranceError(
             f"quadrature error estimate {err:.3g} exceeds tolerance at level {n}",
-            achieved=err,
             partial=PartitionLevel(n, p_mass, q_mass, err, folded_q, folded_p),
         )
     return PartitionLevel(n, p_mass, q_mass, err, folded_q, folded_p)
@@ -294,10 +291,7 @@ def _require_room(live: int, n: int) -> None:
     the whole ratio range besides the panel grid."""
     cap = _LIVE_PER_CELL * (cell_count(n) + _PANELS)
     if live > cap:
-        raise IntegrationToleranceError(
-            f"quadrature needs more than {cap} live intervals at level {n}",
-            achieved=INF,
-        )
+        raise IntegrationToleranceError(f"quadrature needs more than {cap} live intervals at level {n}")
 
 
 def _monotone_panels(model: DensityModel, lo: float, hi: float, n: int):

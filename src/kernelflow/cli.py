@@ -45,6 +45,11 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _json_float(x: float):
+    # JSON has no infinity; write the token stdout prints instead
+    return x if math.isfinite(x) else _fmt(x)
+
+
 def _show_levels(rows) -> None:
     for n, kl, bins, err in rows:
         print(f"{n}, {_fmt(kl)}, {bins}, {err:.3e}")
@@ -153,9 +158,9 @@ def cmd_score(args) -> int:
         for y, weight, local in decomposition.entries:
             q = documents.format_fraction(weight)
             print(f"scenario {y}: q = {q}, score = {_fmt(local)}")
-            rows.append({"scenario": y, "q": q, "score": local})
+            rows.append({"scenario": y, "q": q, "score": _json_float(local)})
         print(f"total = {_fmt(decomposition.total)}")
-        summary.update(scenarios=rows, total=decomposition.total)
+        summary.update(scenarios=rows, total=_json_float(decomposition.total))
     elif args.mode == "empirical":
         log = documents.parse_forecast_log(_read(args.path))
         reports = []
@@ -167,8 +172,8 @@ def cmd_score(args) -> int:
             reports.append(
                 {
                     "forecaster": name,
-                    "per_round": [[r, s] for r, s in report.per_round],
-                    "total": report.total,
+                    "per_round": [[r, _json_float(s)] for r, s in report.per_round],
+                    "total": _json_float(report.total),
                 }
             )
         summary["reports"] = reports
@@ -181,19 +186,22 @@ def cmd_score(args) -> int:
         if truth.space != log.space:
             raise DomainMismatchError("truth and log use different outcome spaces")
         forecasts = [r.forecast for r in records]
-        scores = sequential_scores(truth, forecasts)
+        try:
+            scores = sequential_scores(truth, forecasts)
+        except IndeterminateScoreError as exc:
+            # exc.rounds are 1-based positions in the sorted records
+            a, b = (f"round {records[i - 1].round} ({records[i - 1].forecaster})" for i in exc.rounds)
+            raise IndeterminateScoreError(f"indeterminate increment: {a} and {b} are both infinite") from None
         for rec, score in zip(records, scores):
             print(f"round {rec.round}, {rec.forecaster}: {_fmt(score)}")
         if all(math.isfinite(s) for s in scores):
             telescoped = math.fsum(scores[1:])
             direct = kl_score(truth, forecasts[0]) - kl_score(truth, forecasts[-1])
             print(f"telescoped check: {_fmt(telescoped)} vs {_fmt(direct)}")
-        summary["scores"] = scores
+        summary["scores"] = [_json_float(s) for s in scores]
     if args.summary:
         try:
-            Path(args.summary).write_text(
-                json.dumps(summary, indent=2, default=str) + "\n"
-            )
+            Path(args.summary).write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
         except OSError as exc:
             raise KernelflowError(f"cannot write {args.summary}: {exc.strerror}")
     return EXIT_OK

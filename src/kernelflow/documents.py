@@ -21,9 +21,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DocumentParseError, DomainMismatchError, IncoherentPairError
+from .errors import DocumentParseError, DomainMismatchError
 from .finite import FiniteDistribution, FiniteSpace, StochasticKernel
-from .pairs import CoherenceReport, CoherentPair
+from .pairs import CoherenceReport, CoherentPair, validate_coherent
 from .scoring import ForecastRecord
 
 MORPHISM_TAG = "morphism v1"
@@ -145,11 +145,7 @@ class MorphismDocument:
 
     def validate(self) -> CoherenceReport:
         """The coherence report of the pair, every violation listed."""
-        try:
-            self.to_pair()
-        except IncoherentPairError as exc:
-            return CoherenceReport(False, exc.violations)
-        return CoherenceReport(True, ())
+        return validate_coherent(self.f, self.s, self.p, self.q)
 
 
 def parse_morphism(text: str) -> MorphismDocument:

@@ -40,32 +40,27 @@ def _ln_fraction(r: Fraction) -> float:
     return math.log(r.numerator) - math.log(r.denominator)
 
 
-def _kl(pairs, m) -> tuple[float, dict[str, float] | None]:
-    """KL of the (point, mass) pairs against m, in nats, with its per-point
-    terms; (inf, None) when m has no mass at one of the points."""
-    terms = {}
+def _kl(pairs, m) -> float:
+    """KL of the (point, mass) pairs against m, in nats; inf when m has no
+    mass at one of the points."""
+    terms = []
     for x, a in pairs:
         mx = m(x)
         if mx == 0:
-            return INF, None
-        terms[x] = float(a) * _ln_fraction(a / mx)
-    return max(0.0, math.fsum(terms.values())), terms
-
-
-def kl_divergence(p, m) -> float:
-    """KL(p || m) for two exact distributions on one space, in nats."""
-    if p.space != m.space:
-        raise DomainMismatchError("distributions live on different spaces")
-    return _kl(p.items(), m)[0]
+            return INF
+        terms.append(float(a) * _ln_fraction(a / mx))
+    return max(0.0, math.fsum(terms))
 
 
 @dataclass(frozen=True)
 class ReValue:
-    """Relative entropy of a morphism, with its per-point breakdown."""
+    """Relative entropy of a morphism."""
 
     value: float
-    absolutely_coherent: bool
-    per_point_terms: dict[str, float] | None
+
+    @property
+    def absolutely_coherent(self) -> bool:
+        return self.value < INF
 
 
 def re_fin(pair: CoherentPair) -> ReValue:
@@ -73,10 +68,7 @@ def re_fin(pair: CoherentPair) -> ReValue:
 
     Infinite exactly when the pair is not absolutely coherent.
     """
-    value, terms = _kl(pair.p.items(), pair.hypothesis_pushforward())
-    if terms is None:
-        return ReValue(INF, False, None)
-    return ReValue(value, True, dict.fromkeys(pair.p.space, 0.0) | terms)
+    return ReValue(_kl(pair.p.items(), pair.hypothesis_pushforward()))
 
 
 @dataclass(frozen=True)
@@ -87,26 +79,11 @@ class LocalReDecomposition:
     total: float
 
 
-def local_re(pair: CoherentPair, y: str) -> float:
-    """Relative entropy of the morphism restricted to the fiber over y.
-
-    Equals KL(p_y || s_y) where p_y is the disintegration row.  Only
-    meaningful for q(y) > 0; zero-mass fibers are excluded from totals by
-    the inf * 0 convention.
-    """
-    if y not in pair.q.space:
-        raise DomainMismatchError(f"{y!r} is not a point of the observation space")
-    qy = pair.q(y)
-    if qy == 0:
-        raise DomainMismatchError(
-            f"local relative entropy at {y!r} is undefined: q({y}) = 0"
-        )
-    fiber = ((x, px / qy) for x, px in pair.p.items() if pair.f[x] == y)
-    return _kl(fiber, pair.s(y))[0]
-
-
 def convex_decompose(pair: CoherentPair) -> LocalReDecomposition:
     """Split the pair's relative entropy into q-weighted local values.
+
+    The entry at y is the relative entropy of the morphism restricted to
+    the fiber over y, KL(p_y || s_y) for the disintegration row p_y of p.
 
     The weighted total agrees with re_fin: exactly +inf together, and
     within accumulated log rounding when finite.  p's support is grouped
@@ -118,7 +95,7 @@ def convex_decompose(pair: CoherentPair) -> LocalReDecomposition:
     entries = []
     parts = []
     for y, qy in pair.q.items():
-        local = _kl(((x, px / qy) for x, px in fibers[y]), pair.s(y))[0]
+        local = _kl(((x, px / qy) for x, px in fibers[y]), pair.s(y))
         entries.append((y, qy, local))
         parts.append(ext_mul(float(qy), local))
     return LocalReDecomposition(tuple(entries), math.fsum(parts))

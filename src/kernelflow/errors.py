@@ -30,9 +30,8 @@ class IndeterminateScoreError(KernelflowError):
 class IntegrationToleranceError(KernelflowError):
     """The integrator could not meet its requested tolerance."""
 
-    def __init__(self, message: str, achieved: float, partial=None):
+    def __init__(self, message: str, partial=None):
         super().__init__(message)
-        self.achieved = achieved
         self.partial = partial
 
 

@@ -74,10 +74,12 @@ def validate_coherent(
     f: Mapping[str, str],
     s: StochasticKernel,
     p: FiniteDistribution,
-    q: FiniteDistribution,
+    q: FiniteDistribution | None = None,
 ) -> CoherenceReport:
-    """Check coherence of (f, s, p, q).  Never raises on well-shaped input."""
-    violations = _violations(f, s, q, pushforward(p, f, q.space))
+    """Check coherence of (f, s, p, q), q defaulting to f_*p as in
+    CoherentPair.  Never raises on well-shaped input."""
+    pushed = pushforward(p, f, s.source)
+    violations = _violations(f, s, pushed if q is None else q, pushed)
     return CoherenceReport(not violations, violations)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .entropy import INF, _ln_fraction, kl_divergence, re_fin
+from .entropy import INF, _kl, _ln_fraction, re_fin
 from .errors import DomainMismatchError, IndeterminateScoreError
 from .finite import FiniteDistribution, FiniteSpace, StochasticKernel
 from .pairs import CoherentPair
@@ -67,19 +67,22 @@ def empirical_log_score(log: Sequence[ForecastRecord]) -> ScoreReport:
             raise DomainMismatchError(f"duplicate round {rec.round}")
         seen.add(rec.round)
         mass = rec.forecast(rec.outcome)
-        score = INF if mass == 0 else -_ln_fraction(mass)
+        # 0.0 - x, not -x: a mass of 1 scores 0.0, not -0.0
+        score = INF if mass == 0 else 0.0 - _ln_fraction(mass)
         rows.append((rec.round, score))
     return ScoreReport(next(iter(names)), tuple(rows))
 
 
 def kl_score(truth: FiniteDistribution, forecast: FiniteDistribution) -> float:
-    """Distributional score: relative entropy of the singleton-target pair.
+    """KL(truth || forecast) in nats, for two distributions on one space.
 
-    That pair's hypothesis applied to the point mass on its one target
-    point is the forecast itself, so its relative entropy is
-    KL(truth || forecast), computed here directly.
+    This is the relative entropy of the singleton-target pair: its
+    hypothesis applied to the point mass on its one target point is the
+    forecast itself, so the KL is computed here directly.
     """
-    return kl_divergence(truth, forecast)
+    if truth.space != forecast.space:
+        raise DomainMismatchError("distributions live on different spaces")
+    return _kl(truth.items(), forecast)
 
 
 def sequential_scores(

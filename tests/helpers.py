@@ -25,6 +25,8 @@ from kernelflow.finite import (
     FiniteDistribution,
     FiniteSpace,
     StochasticKernel,
+    disintegrate,
+    flatten,
     pushforward,
 )
 from kernelflow.pairs import CoherentPair, compose_pairs, disintegration_pair, singleton_pair
@@ -413,3 +415,64 @@ LAW_SUITES = {
     "functoriality": functoriality_failures,
     "convexity": convexity_failures,
 }
+
+
+# ---------------------------------------------------------------------------
+# Lower semicontinuity, F(target) <= liminf F(approximants), along sequences
+# that converge to their target.  A finite sequence only estimates the
+# liminf, so the suite states what it checks.  At a finite F(target): the
+# target is at most the tail's minimum, within LAW_TOL, where the tail is
+# the second half of the sequence, as in check_lsc_on_sequence.  At an
+# infinite F(target) no finite tail reaches the limit, so the criterion is
+# that the tail climbs: each term is inf or strictly above the one before.
+# Along the suite's sequences c * RE is strictly monotone, toward its
+# target from above, so it meets both.  A functor that is continuous but
+# approaches a finite target from below fails the first criterion without
+# breaking the law: a failure here says the sequences do not show the law,
+# not that the functor is proven not lower semicontinuous.
+
+
+def _mixed(pair: CoherentPair, t: Fraction) -> CoherentPair:
+    """pair with each hypothesis row over q(y) > 0 replaced by
+    (1 - t) s_y + t p_y, p_y being the disintegration row of p at y.
+
+    Its reconstruction is (1 - t) s(q) + t p, so RE(mixed(t)) is convex in
+    t and 0 at t = 1, hence strictly falling on [0, 1] unless s(q) = p."""
+    exact = disintegrate(pair.p, pair.f, pair.q.space).kernel
+    rows = {
+        y: flatten([(1 - t, pair.s(y)), (t, exact(y))]) if pair.q(y) > 0 else pair.s(y)
+        for y in pair.q.space
+    }
+    return CoherentPair(pair.f, StochasticKernel(pair.q.space, pair.p.space, rows), pair.p, pair.q)
+
+
+@functools.cache
+def _lsc_instances() -> tuple[tuple[CoherentPair, tuple[CoherentPair, ...]], ...]:
+    """200 (target, approximants) sequences, 20 approximants each: 100 pairs
+    that are not absolutely coherent (RE = inf) approached by mixed(1/n),
+    n = 2..21, and 100 random pairs at mixed(1/2) approached by
+    mixed(1/2 - 1/(2n))."""
+    rng = random.Random(404)
+    ns = range(2, 22)
+    sequences = []
+    for _ in range(100):
+        pair = rand_coherent_pair(rng, absolutely=False)
+        sequences.append((pair, tuple(_mixed(pair, Fraction(1, n)) for n in ns)))
+        pair = rand_coherent_pair(rng)
+        half = Fraction(1, 2)
+        sequences.append((_mixed(pair, half), tuple(_mixed(pair, half - half / n) for n in ns)))
+    return tuple(sequences)
+
+
+def lsc_failures(functor) -> int:
+    """Sequences on which F breaks the suite's criterion for its target."""
+    failures = 0
+    for target, approximants in _lsc_instances():
+        value = functor(target)
+        tail = [functor(pair) for pair in approximants[len(approximants) // 2:]]
+        if value == INF:
+            holds = all(b == INF or b > a for a, b in zip(tail, tail[1:]))
+        else:
+            holds = value <= min(tail) + LAW_TOL
+        failures += not holds
+    return failures

@@ -49,10 +49,8 @@ PUBLIC_NAMES = [
     "is_absolutely_coherent",
     "is_optimal",
     "kernel_apply",
-    "kl_divergence",
     "kl_score",
     "kleisli_compose",
-    "local_re",
     "meta_score",
     "piecewise_constant_model",
     "properness_audit",

@@ -908,6 +908,46 @@ class TestScoreCommand:
             -math.log(2 / 3) - math.log(1 / 2), abs=1e-12
         )
 
+    def summary(self, capsys, tmp_path, log, *argv):
+        """The --summary of score on log, read by a JSON parser that refuses
+        the non-standard tokens NaN, Infinity and -Infinity."""
+        def reject(token):
+            raise ValueError(f"not a JSON token: {token}")
+
+        path = tmp_path / "summary.json"
+        code, _, _ = run(capsys, "score", *with_files(tmp_path, [log, *argv]), "--summary", str(path))
+        assert code == 0
+        return json.loads(path.read_text(), parse_constant=reject)
+
+    def test_summary_writes_infinities_as_strings(self, capsys, tmp_path):
+        data = self.summary(capsys, tmp_path, INFINITE_SCORES_LOG, "--mode", "sequential", "--truth", TRUTH_DOC)
+        assert data["scores"] == ["inf", "inf", "-inf", "inf"]
+
+    def test_summary_zero_score_is_positive(self, capsys, tmp_path):
+        # the realized outcome has mass 1, a log loss of 0.0, not -0.0
+        data = self.summary(capsys, tmp_path, "forecast-log v1\noutcomes H T\nforecast 1 alice H 1 0\n")
+        (report,) = data["reports"]
+        assert report["per_round"] == [[1, 0.0]]
+        assert math.copysign(1, report["per_round"][0][1]) == math.copysign(1, report["total"]) == 1
+
+    @pytest.mark.parametrize(
+        "records, named",
+        [
+            ("forecast 10 alice H 1 0\nforecast 20 alice H 1 0\n", "round 10 (alice) and round 20 (alice)"),
+            # both infinite scores sit in one round, and the log is sorted
+            # by round, then forecaster
+            ("forecast 20 alice H 1/2 1/2\nforecast 10 carol T 1 0\nforecast 10 bob H 1 0\n",
+             "round 10 (bob) and round 10 (carol)"),
+        ],
+        ids=["two-rounds", "one-round"],
+    )
+    def test_indeterminate_names_the_records(self, capsys, tmp_path, records, named):
+        log = "forecast-log v1\noutcomes H T\n" + records
+        argv = with_files(tmp_path, [log, "--mode", "sequential", "--truth", TRUTH_DOC])
+        code, out, err = run(capsys, "score", *argv)
+        assert (code, out) == (4, "")
+        assert err == f"error: indeterminate increment: {named} are both infinite\n"
+
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_unwritable_summary_is_an_error(self, capsys, tmp_path, docs, where):
         if where == "directory":

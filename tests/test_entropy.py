@@ -15,8 +15,6 @@ from kernelflow.entropy import (
     check_lsc_on_sequence,
     convex_decompose,
     ext_mul,
-    kl_divergence,
-    local_re,
     re_fin,
 )
 from kernelflow.errors import DomainMismatchError
@@ -24,24 +22,24 @@ from kernelflow.finite import (
     FiniteDistribution,
     FiniteSpace,
     StochasticKernel,
-    dirac,
     uniform,
 )
 from kernelflow.pairs import (
     CoherentPair,
     compose_pairs,
-    disintegration_pair,
     identity_pair,
     is_absolutely_coherent,
     is_optimal,
     singleton_pair,
 )
+from kernelflow.scoring import kl_score
 
 from helpers import (
     LAW_SUITES,
     dense_convex_decompose,
     direct_kl,
     direct_re,
+    lsc_failures,
     rand_coherent_pair,
     rand_composable_pairs,
     rand_distribution,
@@ -83,18 +81,15 @@ class TestReFin:
     def test_half_ln_43(self):
         out = re_fin(two_point("1/2", "1/4"))
         assert out.value == pytest.approx(HALF_LN_43, abs=1e-9)
-        assert out.per_point_terms["x1"] == pytest.approx(0.5 * math.log(2), abs=1e-12)
 
     def test_infinite_branch(self):
         out = re_fin(two_point("1/2", "1"))
         assert out.value == INF
         assert not out.absolutely_coherent
-        assert out.per_point_terms is None
 
     def test_zero_mass_term_is_exact_zero(self):
         p = FiniteDistribution(X2, {"x1": Fraction(1)})
         out = re_fin(singleton_pair(p, uniform(X2)))
-        assert out.per_point_terms["x2"] == 0.0
         assert out.value == pytest.approx(math.log(2), abs=1e-12)
 
     @given(seeds)
@@ -128,7 +123,7 @@ class TestReFin:
 class TestKlDivergence:
     def test_space_mismatch(self):
         with pytest.raises(DomainMismatchError):
-            kl_divergence(uniform(X2), uniform(FiniteSpace(("u", "v"))))
+            kl_score(uniform(X2), uniform(FiniteSpace(("u", "v"))))
 
     @given(seeds)
     @settings(max_examples=100, deadline=None)
@@ -137,7 +132,7 @@ class TestKlDivergence:
         space = rand_space(rng, 6, "x")
         p = rand_distribution(space, rng)
         m = rand_distribution(space, rng)
-        got = kl_divergence(p, m)
+        got = kl_score(p, m)
         want = direct_kl({x: p(x) for x in space}, {x: m(x) for x in space})
         if want == INF:
             assert got == INF
@@ -146,32 +141,23 @@ class TestKlDivergence:
 
 
 class TestLocalRe:
+    """The per-fiber values that convex_decompose lists."""
+
     def test_optimal_local_is_zero(self):
         rng = random.Random(1)
         pair = rand_coherent_pair(rng, optimal=True)
-        for y in pair.q.space:
-            if pair.q(y) > 0:
-                assert local_re(pair, y) == 0.0
+        locals_ = [local for _, _, local in convex_decompose(pair).entries]
+        assert locals_ and all(local == 0.0 for local in locals_)
 
     def test_singleton_fiber_is_zero(self):
         d = FiniteDistribution(X2, {"x1": Fraction(1, 3), "x2": Fraction(2, 3)})
-        pair = identity_pair(d)
-        for y in X2:
-            assert local_re(pair, y) == 0.0
+        entries = convex_decompose(identity_pair(d)).entries
+        assert [(y, local) for y, _, local in entries] == [("x1", 0.0), ("x2", 0.0)]
 
     def test_hand_value(self):
-        pair = two_point("1/2", "1/4")
-        assert local_re(pair, "*") == pytest.approx(HALF_LN_43, abs=1e-9)
-
-    def test_null_fiber_is_undefined(self):
-        pair = singleton_pair(dirac("x1", X2), dirac("x1", X2))
-        ab = FiniteSpace(("u", "v"))
-        p = dirac("x1", X2)
-        dpair = disintegration_pair(p, {"x1": "u", "x2": "v"}, ab)
-        with pytest.raises(DomainMismatchError):
-            local_re(dpair, "v")
-        with pytest.raises(DomainMismatchError):
-            local_re(pair, "missing")
+        (entry,) = convex_decompose(two_point("1/2", "1/4")).entries
+        assert entry[0] == "*"
+        assert entry[2] == pytest.approx(HALF_LN_43, abs=1e-9)
 
 
 def coin_pair():
@@ -245,8 +231,6 @@ class TestDecomposeAgainstDenseReference:
         entries, total = dense_convex_decompose(pair)
         assert dec.entries == entries
         assert dec.total == total
-        for y, _, local in entries:
-            assert local_re(pair, y) == local
 
 
 class TestFunctoriality:
@@ -450,9 +434,8 @@ LAW_CASES = {
     "reverse_kl": (reverse_kl, {"functoriality"}),
     "squared_hellinger": (squared_hellinger, {"functoriality"}),
     "information_loss": (information_loss, {"vanishing"}),
-    # Known gap: the indicator is not c * RE for any c in [0, inf], yet it
-    # passes all three suites.  Only lower semicontinuity excludes it, and
-    # check_lsc_on_sequence cannot tell it from RE at an infinite target.
+    # the indicator is not c * RE for any c in [0, inf], yet it passes all
+    # three suites: only lower semicontinuity excludes it, see below
     "indicator": (indicator, set()),
 }
 
@@ -462,3 +445,10 @@ def test_law_suites_reject_every_rival_of_scaled_re(case):
     functor, expected = LAW_CASES[case]
     failed = {name for name, suite in LAW_SUITES.items() if suite(functor)}
     assert failed == expected
+
+
+# The indicator stays 0 along each of the suite's 100 sequences toward a
+# target that is not absolutely coherent, where its value is inf
+@pytest.mark.parametrize("case, failures", [("re", 0), ("2re", 0), ("inf_re", 0), ("indicator", 100)])
+def test_lsc_suite_rejects_the_indicator(case, failures):
+    assert lsc_failures(LAW_CASES[case][0]) == failures
