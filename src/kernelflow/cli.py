@@ -189,8 +189,8 @@ def cmd_score(args) -> int:
         try:
             scores = sequential_scores(truth, forecasts)
         except IndeterminateScoreError as exc:
-            # exc.rounds are 1-based positions in the sorted records
-            a, b = (f"round {records[i - 1].round} ({records[i - 1].forecaster})" for i in exc.rounds)
+            # exc.positions are 1-based positions in the sorted records
+            a, b = (f"round {records[i - 1].round} ({records[i - 1].forecaster})" for i in exc.positions)
             raise IndeterminateScoreError(f"indeterminate increment: {a} and {b} are both infinite") from None
         for rec, score in zip(records, scores):
             print(f"round {rec.round}, {rec.forecaster}: {_fmt(score)}")

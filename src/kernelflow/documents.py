@@ -6,7 +6,8 @@ common case, unsigned digits with an optional "/digits" denominator, is
 parsed with two int() calls; every other token goes through
 Fraction(token), so both paths give the same value or the same error.
 Only an exponent too large for any nonzero value of the token to be
-printed is refused before Fraction builds its power of ten.
+printed is refused before Fraction builds its power of ten.  A forecast
+log reads each distinct mass token once per parse and reuses its value.
 A morphism document's q lines are optional: the pair derives q as the
 pushforward of p, and a declared q is checked against it, not trusted.
 Serialization is canonical: fixed section order, canonical point order,
@@ -293,6 +294,10 @@ def parse_forecast_log(text: str) -> ForecastLog:
     space = None
     records: list[ForecastRecord] = []
     seen: set[tuple[int, str]] = set()
+    # each mass token read so far, by its text: a log repeats few distinct
+    # tokens, and only a token that parsed is kept, so a bad one fails at
+    # every line it is on, the first of them first
+    known: dict[str, Fraction] = {}
     for lineno, tokens in lines[1:]:
         if tokens[0] == "outcomes":
             if space is not None:
@@ -320,7 +325,12 @@ def parse_forecast_log(text: str) -> ForecastLog:
                     f"duplicate record for round {rnd}, forecaster {forecaster!r}", lineno
                 )
             seen.add((rnd, forecaster))
-            masses = {x: _fraction(t, lineno) for x, t in zip(space, tokens[4:])}
+            masses = {}
+            for x, t in zip(space, tokens[4:]):
+                m = known.get(t)
+                if m is None:
+                    m = known[t] = _fraction(t, lineno)
+                masses[x] = m
             forecast = _distribution(space, masses, "forecast", lineno)
             records.append(ForecastRecord(rnd, forecaster, forecast, outcome))
         else:

@@ -6,9 +6,10 @@ for the infinite branch.  IEEE arithmetic already does the sums
 code handles only the two conventions it lacks: inf * 0 = 0 * inf = 0
 (ext_mul, where IEEE gives nan) and inf - inf, which has no value and is
 rejected where it can arise (scoring.sequential_scores).  Each per-point
-term computes the probability ratio exactly as a Fraction before a single
-double-precision log, so a morphism with an optimal hypothesis sums
-literal zeros.
+term forms the probability ratio exactly, as a numerator and denominator
+of ints reduced by their gcd (the pair Fraction division would give,
+without its overhead), before a single double-precision log, so a
+morphism with an optimal hypothesis sums literal zeros.
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ def ext_mul(a: float, b: float) -> float:
     return a * b
 
 
-def _ln_fraction(r: Fraction) -> float:
-    # log via integer numerator/denominator; exact 0.0 when r == 1 and no
-    # overflow for huge exact ratios
-    if r == 1:
+def _ln_ratio(num: int, den: int) -> float:
+    """ln(num / den) for positive ints in lowest terms: a log of each, so
+    no overflow for huge exact ratios, and exact 0.0 when they are equal."""
+    if num == den:
         return 0.0
-    return math.log(r.numerator) - math.log(r.denominator)
+    return math.log(num) - math.log(den)
 
 
 def _kl(pairs, m) -> float:
@@ -46,9 +47,16 @@ def _kl(pairs, m) -> float:
     terms = []
     for x, a in pairs:
         mx = m(x)
-        if mx == 0:
+        mn = mx.numerator
+        if mn == 0:
             return INF
-        terms.append(float(a) * _ln_fraction(a / mx))
+        an, ad = a.numerator, a.denominator
+        # a / mx in lowest terms, as ints: the pair Fraction would hold
+        num = an * mx.denominator
+        den = ad * mn
+        g = math.gcd(num, den)
+        # an / ad is float(a): one correctly rounded int division
+        terms.append(an / ad * _ln_ratio(num // g, den // g))
     return max(0.0, math.fsum(terms))
 
 
@@ -97,7 +105,9 @@ def convex_decompose(pair: CoherentPair) -> LocalReDecomposition:
     for y, qy in pair.q.items():
         local = _kl(((x, px / qy) for x, px in fibers[y]), pair.s(y))
         entries.append((y, qy, local))
-        parts.append(ext_mul(float(qy), local))
+        # qy > 0, so an infinite local value makes the total infinite even
+        # where float(qy) underflows to 0.0
+        parts.append(INF if local == INF else float(qy) * local)
     return LocalReDecomposition(tuple(entries), math.fsum(parts))
 
 

@@ -22,9 +22,9 @@ class IncoherentPairError(KernelflowError):
 class IndeterminateScoreError(KernelflowError):
     """An increment of the form inf - inf was encountered."""
 
-    def __init__(self, message: str, rounds: tuple = ()):
+    def __init__(self, message: str, positions: tuple = ()):
         super().__init__(message)
-        self.rounds = rounds
+        self.positions = positions
 
 
 class IntegrationToleranceError(KernelflowError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .entropy import INF, _kl, _ln_fraction, re_fin
+from .entropy import INF, _kl, _ln_ratio, re_fin
 from .errors import DomainMismatchError, IndeterminateScoreError
 from .finite import FiniteDistribution, FiniteSpace, StochasticKernel
 from .pairs import CoherentPair
@@ -68,7 +68,7 @@ def empirical_log_score(log: Sequence[ForecastRecord]) -> ScoreReport:
         seen.add(rec.round)
         mass = rec.forecast(rec.outcome)
         # 0.0 - x, not -x: a mass of 1 scores 0.0, not -0.0
-        score = INF if mass == 0 else 0.0 - _ln_fraction(mass)
+        score = INF if mass == 0 else 0.0 - _ln_ratio(mass.numerator, mass.denominator)
         rows.append((rec.round, score))
     return ScoreReport(next(iter(names)), tuple(rows))
 
@@ -104,8 +104,9 @@ def sequential_scores(
         prev, cur = scores[i - 1], scores[i]
         if prev == INF and cur == INF:
             raise IndeterminateScoreError(
-                f"indeterminate increment: rounds {i} and {i + 1} are both infinite",
-                rounds=(i, i + 1),
+                f"indeterminate increment: forecasts {i} and {i + 1} "
+                f"(positions in the given list) are both infinite",
+                positions=(i, i + 1),
             )
         out.append(prev - cur)
     return out

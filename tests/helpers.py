@@ -189,8 +189,25 @@ def dense_kernel_apply(s: StochasticKernel, q: FiniteDistribution) -> dict:
     return out
 
 
-def _ln(r: Fraction) -> float:
+def ln_fraction(r: Fraction) -> float:
+    """ln r for a positive Fraction, one log each of its numerator and
+    denominator, and exact 0.0 when r == 1."""
     return 0.0 if r == 1 else math.log(r.numerator) - math.log(r.denominator)
+
+
+def fraction_kl(pairs, m) -> float:
+    """Reference KL of the (point, mass) pairs against m, with each ratio
+    formed by Fraction division: float(a) times ln_fraction(a / m(x)), inf
+    at the first point m gives no mass.  Reducing a / m(x) to lowest terms
+    in ints gives the same numerator and denominator, so the library's
+    values must equal these bit for bit."""
+    terms = []
+    for x, a in pairs:
+        mx = m(x)
+        if mx == 0:
+            return INF
+        terms.append(float(a) * ln_fraction(a / mx))
+    return max(0.0, math.fsum(terms))
 
 
 def dense_convex_decompose(pair: CoherentPair):
@@ -212,10 +229,12 @@ def dense_convex_decompose(pair: CoherentPair):
             if sx == 0:
                 terms = None
                 break
-            terms.append(float(p_yx) * _ln(p_yx / sx))
+            terms.append(float(p_yx) * ln_fraction(p_yx / sx))
         entries.append((y, qy, INF if terms is None else max(0.0, math.fsum(terms))))
-    parts = [0.0 if local == 0 else float(qy) * local for _, qy, local in entries]
-    total = INF if INF in parts else math.fsum(parts)
+    if any(local == INF for _, _, local in entries):
+        total = INF  # each q(y) is positive, even where float(q(y)) is 0.0
+    else:
+        total = math.fsum(float(qy) * local for _, qy, local in entries)
     return tuple(entries), total
 
 

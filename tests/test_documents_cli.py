@@ -29,8 +29,9 @@ from kernelflow.documents import (
     serialize_morphism,
 )
 from kernelflow.errors import DocumentParseError, IncoherentPairError
-from kernelflow.finite import pushforward, uniform
+from kernelflow.finite import FiniteDistribution, pushforward, uniform
 from kernelflow.pairs import CoherenceReport, CoherentPair
+from kernelflow.scoring import ForecastRecord
 
 COIN_DOC = """\
 morphism v1
@@ -112,6 +113,15 @@ forecast-log v1
 outcomes H T
 forecast 1 alice H 1/4 3/4
 forecast 2 bob H 1/2 1/2
+"""
+
+# 1/2 recurs on every line, and the one bad token, x/2, is on line 5
+REPEATED_TOKEN_LOG = """\
+forecast-log v1
+outcomes H T
+forecast 1 alice H 1/2 1/2
+forecast 2 alice T 1/2 1/2
+forecast 3 alice H 1/2 x/2
 """
 
 TRUTH_DOC = """\
@@ -324,6 +334,41 @@ class TestOtherDocuments:
         bad = FORECAST_LOG.replace("forecast 1 alice H", "forecast 1 alice X")
         with pytest.raises(DocumentParseError):
             parse_forecast_log(bad)
+
+    def test_same_bad_token_fails_at_its_first_line(self):
+        bad = REPEATED_TOKEN_LOG.replace("forecast 1 alice H 1/2 1/2", "forecast 1 alice H 1/2 x/2")
+        with pytest.raises(DocumentParseError, match="not a fraction: 'x/2'") as err:
+            parse_forecast_log(bad)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "masses, message",
+        [("1/2 -1/2", "negative mass '-1/2'"),
+         ("-1/2 1/2", "negative mass '-1/2'"),
+         ("1/2 1/3", "forecast: masses sum to 5/6, not 1")],
+        ids=["negative-second", "negative-first", "bad-sum"],
+    )
+    def test_reused_token_fails_at_the_later_line(self, masses, message):
+        # 1/2 parsed at lines 3 and 4; the error is line 5's own
+        bad = REPEATED_TOKEN_LOG.replace("1/2 x/2", masses)
+        with pytest.raises(DocumentParseError) as err:
+            parse_forecast_log(bad)
+        assert err.value.line == 5
+        assert str(err.value) == f"line 5, column 1: {message}"
+
+    def test_records_sharing_tokens_equal_records_parsed_alone(self):
+        header = "forecast-log v1\noutcomes H T E\n"
+        lines = ["forecast 1 a H 1/2 1/4 1/4", "forecast 2 a T 1/4 1/2 1/4",
+                 "forecast 1 b E 0.25 1/4 1/2", "forecast 2 b H 1/4 0 3/4"]
+        log = parse_forecast_log(header + "\n".join(lines) + "\n")
+        alone = tuple(parse_forecast_log(header + line + "\n").records[0] for line in lines)
+        direct = tuple(
+            ForecastRecord(int(t[1]), t[2],
+                           FiniteDistribution(log.space, {x: Fraction(m) for x, m in zip(log.space, t[4:])}),
+                           t[3])
+            for t in map(str.split, lines)
+        )
+        assert log.records == alone == direct
 
     def test_mass_token_cases(self):
         assert _fraction("007/3", 1) == Fraction(7, 3)
@@ -887,6 +932,10 @@ class TestScoreCommand:
         )
         assert code == 4
         assert "indeterminate" in err
+
+    def test_parse_error_names_the_bad_tokens_line(self, capsys, tmp_path):
+        argv = with_files(tmp_path, [REPEATED_TOKEN_LOG, "--mode", "empirical"])
+        assert run(capsys, "score", *argv) == (2, "", "parse error: line 5, column 1: not a fraction: 'x/2'\n")
 
     def test_conditional(self, capsys, docs):
         code, out, _ = run(capsys, "score", docs["coin"], "--mode", "conditional")

@@ -32,13 +32,16 @@ from kernelflow.pairs import (
     is_optimal,
     singleton_pair,
 )
-from kernelflow.scoring import kl_score
+from kernelflow.scoring import ForecastRecord, empirical_log_score, kl_score
 
 from helpers import (
     LAW_SUITES,
     dense_convex_decompose,
     direct_kl,
     direct_re,
+    fraction_kl,
+    labels,
+    ln_fraction,
     lsc_failures,
     rand_coherent_pair,
     rand_composable_pairs,
@@ -192,6 +195,19 @@ class TestConvexDecompose:
         assert dec.total == pytest.approx(0.5 * math.log(9 / 8), abs=1e-12)
         assert dec.total == pytest.approx(re_fin(coin_pair()).value, abs=1e-12)
 
+    def test_infinite_fiber_of_tiny_weight_makes_total_infinite(self):
+        # q(v) = 10**-400 is 0.0 as a float, yet s misses p's mass at c
+        xs, ys = FiniteSpace(("a", "b", "c")), FiniteSpace(("u", "v"))
+        t = Fraction(1, 10**400)
+        p = FiniteDistribution(xs, {"a": 1 - t, "b": t / 2, "c": t / 2})
+        s = StochasticKernel(ys, xs, {"u": FiniteDistribution(xs, {"a": 1}),
+                                      "v": FiniteDistribution(xs, {"b": 1})})
+        pair = CoherentPair({"a": "u", "b": "v", "c": "v"}, s, p)
+        dec = convex_decompose(pair)
+        assert float(pair.q("v")) == 0.0
+        assert [local for _, _, local in dec.entries] == [0.0, INF]
+        assert dec.total == re_fin(pair).value == INF
+
     @given(seeds)
     @settings(max_examples=100, deadline=None)
     def test_total_matches_re_fin(self, seed):
@@ -231,6 +247,111 @@ class TestDecomposeAgainstDenseReference:
         entries, total = dense_convex_decompose(pair)
         assert dec.entries == entries
         assert dec.total == total
+
+
+# a weight is a digit or has 601 to 701 digits, so most masses w / sum
+# have a denominator of 600 digits or more, some are small and some are 0
+WEIGHTS = st.one_of(st.integers(0, 9), st.integers(10**600, 10**700))
+
+
+@st.composite
+def exact_masses(draw, count: int, full: bool = False) -> list[Fraction]:
+    """count masses summing to 1; with full=True every one is positive."""
+    weights = draw(st.lists(
+        WEIGHTS.filter(bool) if full else WEIGHTS, min_size=count, max_size=count))
+    if not any(weights):
+        weights[0] = 1
+    total = sum(weights)
+    return [Fraction(w, total) for w in weights]
+
+
+@st.composite
+def exact_distributions(draw, space: FiniteSpace, full: bool = False) -> FiniteDistribution:
+    return FiniteDistribution(space, dict(zip(space, draw(exact_masses(len(space), full)))))
+
+
+@st.composite
+def exact_pairs(draw) -> CoherentPair:
+    """A coherent pair with huge-denominator masses; each hypothesis row is
+    random or, where q is positive, p's own conditional (local RE 0)."""
+    xs = FiniteSpace(labels(draw(st.integers(1, 6)), "x"))
+    ys = FiniteSpace(labels(draw(st.integers(1, len(xs))), "y"))
+    f = {x: ys.points[i % len(ys)] for i, x in enumerate(xs)}
+    p = draw(exact_distributions(xs))
+    rows = {}
+    for y in ys:
+        fiber = [x for x in xs if f[x] == y]
+        qy = sum(p(x) for x in fiber)
+        if qy and draw(st.booleans()):
+            rows[y] = FiniteDistribution(xs, {x: p(x) / qy for x in fiber})
+        else:
+            rows[y] = FiniteDistribution(xs, dict(zip(fiber, draw(exact_masses(len(fiber))))))
+    return CoherentPair(f, StochasticKernel(ys, xs, rows), p)
+
+
+def bits(values) -> list[str]:
+    """The exact bits of each float, so 0.0 and -0.0 differ."""
+    return [v.hex() for v in values]
+
+
+class TestIntegerKl:
+    """Each KL term forms its ratio in reduced ints; every float it yields
+    must be the one the Fraction-division reference yields, bit for bit."""
+
+    @given(exact_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_re_fin_and_decompose_match_fraction_reference(self, pair):
+        want = fraction_kl(pair.p.items(), pair.hypothesis_pushforward())
+        assert bits([re_fin(pair).value]) == bits([want])
+        dec = convex_decompose(pair)
+        entries, total = dense_convex_decompose(pair)
+        assert [(y, qy) for y, qy, _ in dec.entries] == [(y, qy) for y, qy, _ in entries]
+        assert bits(v for _, _, v in dec.entries) == bits(v for _, _, v in entries)
+        assert bits([dec.total]) == bits([total])
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_kl_score_matches_fraction_reference(self, data):
+        space = FiniteSpace(labels(data.draw(st.integers(1, 6)), "x"))
+        truth = data.draw(exact_distributions(space))
+        forecast = data.draw(exact_distributions(space))
+        got = kl_score(truth, forecast)
+        assert bits([got]) == bits([fraction_kl(truth.items(), forecast)])
+        assert bits([kl_score(truth, truth)]) == bits([0.0])
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_zero_forecast_mass_is_inf(self, data):
+        space = FiniteSpace(labels(data.draw(st.integers(2, 6)), "x"))
+        truth = data.draw(exact_distributions(space, full=True))
+        masses = data.draw(exact_masses(len(space) - 1))
+        forecast = FiniteDistribution(space, dict(zip(space.points[1:], masses)))
+        assert kl_score(truth, forecast) == INF
+
+    def test_equal_masses_give_literal_zero_terms(self):
+        # 600-digit masses; the forecast keeps x1's and moves d from x2 to x3
+        big = 10**600 + 7
+        x1, x2, d = Fraction(big - 1, 3 * big), Fraction(big + 2, 3 * big), Fraction(1, 5 * big)
+        space = FiniteSpace(("x1", "x2", "x3"))
+        truth = FiniteDistribution(space, {"x1": x1, "x2": x2, "x3": 1 - x1 - x2})
+        forecast = FiniteDistribution(space, {"x1": x1, "x2": x2 - d, "x3": 1 - x1 - x2 + d})
+        assert len(str(x1.denominator)) > 600
+        assert bits([kl_score(truth, truth)]) == bits([re_fin(singleton_pair(truth, truth)).value]) == bits([0.0])
+        assert bits([kl_score(truth, forecast)]) == bits([fraction_kl(truth.items(), forecast)])
+        (entry,) = convex_decompose(singleton_pair(truth, truth)).entries
+        assert bits([entry[2]]) == bits([0.0])
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_empirical_log_score_matches_fraction_reference(self, data):
+        space = FiniteSpace(labels(data.draw(st.integers(1, 5)), "x"))
+        records = []
+        for rnd in range(1, data.draw(st.integers(1, 4)) + 1):
+            forecast = data.draw(exact_distributions(space))
+            records.append(ForecastRecord(rnd, "a", forecast, data.draw(st.sampled_from(space.points))))
+        want = [INF if r.forecast(r.outcome) == 0 else 0.0 - ln_fraction(r.forecast(r.outcome))
+                for r in records]
+        assert bits(s for _, s in empirical_log_score(records).per_round) == bits(want)
 
 
 class TestFunctoriality:

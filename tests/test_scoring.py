@@ -209,7 +209,8 @@ class TestSequentialScores:
         truth = coin("1/2")
         with pytest.raises(IndeterminateScoreError) as err:
             sequential_scores(truth, [dirac("H", COIN), dirac("T", COIN)])
-        assert err.value.rounds == (1, 2)
+        assert err.value.positions == (1, 2)
+        assert "forecasts 1 and 2 (positions in the given list)" in str(err.value)
 
     def test_empty(self):
         with pytest.raises(DomainMismatchError):
