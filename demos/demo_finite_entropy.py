@@ -41,8 +41,8 @@ def main() -> None:
     )
 
     print("== validation ==")
-    reportee = validate_coherent(f, s, p, q)
-    print(f"coherent: {reportee.is_coherent}")
+    violations = validate_coherent(f, s, p, q)
+    print(f"coherent: {not violations}")
 
     pair = CoherentPair(f, s, p, q)
     value = re_fin(pair)

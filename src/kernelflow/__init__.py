@@ -35,7 +35,6 @@ from .errors import (
     KernelflowError,
 )
 from .finite import (
-    Disintegration,
     FiniteDistribution,
     FiniteSpace,
     StochasticKernel,
@@ -49,7 +48,6 @@ from .finite import (
     uniform,
 )
 from .pairs import (
-    CoherenceReport,
     CoherentPair,
     compose_pairs,
     disintegration_pair,

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -166,13 +166,14 @@ def _in_cell(r: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
     return ((r >= low[:, None]) & (r < high[:, None])).all(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionLevel:
-    """Per-cell p and q masses at one dyadic refinement level."""
+    """Per-cell p and q masses at one dyadic refinement level.  Levels
+    compare by identity, since their masses are numpy arrays."""
 
     n: int
-    p_mass: np.ndarray = field(compare=False)
-    q_mass: np.ndarray = field(compare=False)
+    p_mass: np.ndarray
+    q_mass: np.ndarray
     err_est: float = 0.0
     folded_q: float = 0.0
     folded_p: float = 0.0
@@ -244,16 +245,11 @@ def _bin_masses_quad(model: DensityModel, n: int, ladder: _Ladder) -> PartitionL
     nc = cell_count(n)
     q_mass = np.zeros(nc)
     p_mass = np.zeros(nc)
-    try:
-        a, b, r_a, r_b, err = _monotone_panels(model, lo, hi, n)
-        cuts, cut_err = _crossings(model, a, b, r_a, r_b, n, ladder)
-        err += cut_err
-        breaks = np.sort(np.concatenate([a, [hi], cuts]))
-        err += _integrate(model, breaks, n, q_mass, p_mass)
-    except IntegrationToleranceError as exc:
-        # the level was abandoned part way, so its masses are incomplete
-        exc.partial = PartitionLevel(n, p_mass, q_mass, INF)
-        raise
+    a, b, r_a, r_b, err = _monotone_panels(model, lo, hi, n)
+    cuts, cut_err = _crossings(model, a, b, r_a, r_b, n, ladder)
+    err += cut_err
+    breaks = np.sort(np.concatenate([a, [hi], cuts]))
+    err += _integrate(model, breaks, n, q_mass, p_mass)
 
     # q and p are probability measures; a truncation may leave out 1e-10
     tol = _MODEL_VALIDATION_TOL + 1e-10 + err
@@ -278,10 +274,7 @@ def _bin_masses_quad(model: DensityModel, n: int, ladder: _Ladder) -> PartitionL
         p_mass[k] += folded_p
 
     if err > _ERR_CEILING:
-        raise IntegrationToleranceError(
-            f"quadrature error estimate {err:.3g} exceeds tolerance at level {n}",
-            partial=PartitionLevel(n, p_mass, q_mass, err, folded_q, folded_p),
-        )
+        raise IntegrationToleranceError(f"quadrature error estimate {err:.3g} exceeds tolerance at level {n}")
     return PartitionLevel(n, p_mass, q_mass, err, folded_q, folded_p)
 
 
@@ -653,28 +646,40 @@ def uniform_pair_model(a: float, b: float, c: float, d: float) -> DensityModel:
 def piecewise_constant_model(
     pieces: list[tuple[float, float, float, float]], name: str = "piecewise"
 ) -> DensityModel:
-    """A model from (lo, hi, q_density, ratio) pieces on disjoint intervals."""
+    """A model from (lo, hi, q_density, ratio) pieces on disjoint intervals.
+
+    Each piece holds [lo, hi), and the last one its top edge hi as well;
+    both densities are 0 everywhere else, gaps between pieces included.
+    """
     if not pieces:
         raise DomainMismatchError("need at least one piece")
     pieces = sorted(pieces)
     for (l0, h0, *_), (l1, _h1, *_) in zip(pieces, pieces[1:]):
         if h0 > l1:
             raise DomainMismatchError("pieces overlap")
-    edges = np.array([p[0] for p in pieces] + [pieces[-1][1]])
-    his = np.array([p[1] for p in pieces])
-    q_vals = np.array([p[2] for p in pieces])
-    r_vals = np.array([p[3] for p in pieces])
+    # one breakpoint table: segment i is [edges[i], edges[i + 1]) and holds
+    # vals[i + 1]; vals[0] lies below the first edge, a gap is a segment of
+    # value 0, and the segment one float wide above the top edge is the
+    # last piece's, so that edge belongs to it
+    edges, vals = [pieces[0][0]], [(0.0, 0.0)]
+    for lo, hi, q, r in pieces:
+        if lo > edges[-1]:
+            edges.append(lo)
+            vals.append((0.0, 0.0))
+        edges.append(hi)
+        vals.append((q, r))
+    top = edges[-1]
+    edges = np.array(edges + [np.nextafter(top, INF)])
+    q_vals, r_vals = np.array(vals + [vals[-1], (0.0, 0.0)], dtype=float).T
 
     def lookup(x, vals):
-        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(pieces) - 1)
-        inside = (x >= edges[0]) & (x < his[idx]) | np.isclose(x, edges[0]) | (x == edges[-1])
-        return np.where(inside, vals[idx], 0.0)
+        return vals[np.searchsorted(edges, x, side="right")]
 
     return DensityModel(
         name=name,
         base_density=lambda x: lookup(x, q_vals),
         ratio=lambda x: lookup(x, r_vals),
-        support=(float(edges[0]), float(edges[-1])),
+        support=(float(edges[0]), float(top)),
     )
 
 

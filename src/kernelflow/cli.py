@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import documents
-from .borel import MODEL_REGISTRY, IntegratorSpec, KlTrace, estimate_kl, piecewise_constant_model
+from .borel import MODEL_REGISTRY, IntegratorSpec, estimate_kl, piecewise_constant_model
 from .entropy import check_functoriality, convex_decompose, re_fin
 from .errors import (
     DocumentParseError,
@@ -261,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INDETERMINATE
     except IntegrationToleranceError as exc:
         # the levels estimate_kl finished before it stopped
-        if isinstance(exc.partial, KlTrace):
+        if exc.partial is not None:
             _show_levels(exc.partial.levels)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import DocumentParseError, DomainMismatchError
 from .finite import FiniteDistribution, FiniteSpace, StochasticKernel
-from .pairs import CoherenceReport, CoherentPair, validate_coherent
+from .pairs import CoherentPair, validate_coherent
 from .scoring import ForecastRecord
 
 MORPHISM_TAG = "morphism v1"
@@ -144,8 +144,8 @@ class MorphismDocument:
         """Build the validated pair; raises IncoherentPairError on failure."""
         return CoherentPair(self.f, self.s, self.p, self.q)
 
-    def validate(self) -> CoherenceReport:
-        """The coherence report of the pair, every violation listed."""
+    def validate(self) -> tuple[str, ...]:
+        """Every violation of coherence in the pair; empty when coherent."""
         return validate_coherent(self.f, self.s, self.p, self.q)
 
 

@@ -2,10 +2,11 @@
 
 Values live in Lawvere's [0, inf], stored as IEEE floats with math.inf
 for the infinite branch.  IEEE arithmetic already does the sums
-(math.fsum included), differences, comparisons and printing of inf, so
-code handles only the two conventions it lacks: inf * 0 = 0 * inf = 0
-(ext_mul, where IEEE gives nan) and inf - inf, which has no value and is
-rejected where it can arise (scoring.sequential_scores).  Each per-point
+(math.fsum included), differences, comparisons and printing of inf.  No
+code here multiplies inf by 0, where IEEE gives nan: convex_decompose
+weights only fibers of positive q(y).  The one convention code handles
+is inf - inf, which has no value and is rejected where it can arise
+(scoring.sequential_scores).  Each per-point
 term forms the probability ratio exactly, as a numerator and denominator
 of ints reduced by their gcd (the pair Fraction division would give,
 without its overhead), before a single double-precision log, so a
@@ -24,13 +25,6 @@ from .pairs import CoherentPair, compose_pairs
 INF = math.inf
 _FUNCTORIALITY_TOL = 1e-10  # |residual| below which the identity holds
 _LSC_TOL = 1e-9  # how far the target may sit above the liminf estimate
-
-
-def ext_mul(a: float, b: float) -> float:
-    """Multiplication in [0, inf] with the inf * 0 = 0 convention."""
-    if a == 0 or b == 0:
-        return 0.0
-    return a * b
 
 
 def _ln_ratio(num: int, den: int) -> float:

@@ -28,11 +28,14 @@ class IndeterminateScoreError(KernelflowError):
 
 
 class IntegrationToleranceError(KernelflowError):
-    """The integrator could not meet its requested tolerance."""
+    """The integrator could not meet its requested tolerance.
 
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    partial is None when bin_masses raised it.  When estimate_kl raised
+    it, partial is the KlTrace of the levels it finished before the one
+    that failed (no levels when level 1 failed).
+    """
+
+    partial = None
 
 
 class DocumentParseError(KernelflowError):

@@ -250,47 +250,31 @@ def kleisli_compose(s: StochasticKernel, t: StochasticKernel) -> StochasticKerne
     return StochasticKernel(t.source, s.target, rows)
 
 
-@dataclass(frozen=True)
-class Disintegration:
-    """A conditional kernel together with the rows that were chosen freely.
-
-    Rows at points of the target with zero pushforward mass are not pinned
-    down by the data; they are filled deterministically (uniform on the
-    fiber, or uniform on the whole source space when the fiber is empty)
-    and listed in null_fiber_rows.
-    """
-
-    kernel: StochasticKernel
-    null_fiber_rows: tuple[str, ...]
-
-
 def disintegrate(
     p: FiniteDistribution, f: Mapping[str, str], target: FiniteSpace
-) -> Disintegration:
+) -> StochasticKernel:
     """Conditional distributions of p given the value of f.
 
     For y with positive pushforward mass q(y), the row is p restricted to
-    the fiber and renormalized; kernel_apply(kernel, q) reconstructs p
-    exactly.
+    the fiber and renormalized, so applying the kernel to q reconstructs
+    p exactly.  Rows at the zeros of q are not pinned down by p; they are
+    filled deterministically, uniform on the fiber, or uniform on the
+    whole source space when the fiber is empty.
     """
     q = pushforward(p, f, target)
     fibers: dict[str, list[str]] = {y: [] for y in target}
     for x in p.space:
         fibers[f[x]].append(x)
     rows: dict[str, FiniteDistribution] = {}
-    null_rows: list[str] = []
     for y in target:
         qy = q(y)
         if qy > 0:
             rows[y] = FiniteDistribution(
                 p.space, {x: p(x) / qy for x in fibers[y]}
             )
+        elif fibers[y]:
+            w = Fraction(1, len(fibers[y]))
+            rows[y] = FiniteDistribution(p.space, {x: w for x in fibers[y]})
         else:
-            null_rows.append(y)
-            if fibers[y]:
-                w = Fraction(1, len(fibers[y]))
-                rows[y] = FiniteDistribution(p.space, {x: w for x in fibers[y]})
-            else:
-                rows[y] = uniform(p.space)
-    kernel = StochasticKernel(target, p.space, rows)
-    return Disintegration(kernel, tuple(null_rows))
+            rows[y] = uniform(p.space)
+    return StochasticKernel(target, p.space, rows)

@@ -13,9 +13,10 @@ coherent hypothesis at all, so f must hit every point of Y.
 q is part of the morphism, not extra data: construction derives f_*p once,
 takes it as q when none is given, and otherwise reports every point where
 the given q differs from it.  Validation happens eagerly at construction;
-validate_coherent runs the same check and returns the report instead of
-raising.  Two pairs are equal as morphisms when they agree q-almost
-everywhere; rows over q-null fibers are witnesses, not data.
+validate_coherent runs the same check and returns the violations instead
+of raising, an empty tuple for a coherent pair.  Two pairs are equal as
+morphisms when they agree q-almost everywhere; rows over q-null fibers
+are witnesses, not data.
 """
 
 from __future__ import annotations
@@ -35,12 +36,6 @@ from .finite import (
     kleisli_compose,
     pushforward,
 )
-
-
-@dataclass(frozen=True)
-class CoherenceReport:
-    is_coherent: bool
-    violations: tuple[str, ...]
 
 
 def _violations(
@@ -75,12 +70,12 @@ def validate_coherent(
     s: StochasticKernel,
     p: FiniteDistribution,
     q: FiniteDistribution | None = None,
-) -> CoherenceReport:
-    """Check coherence of (f, s, p, q), q defaulting to f_*p as in
-    CoherentPair.  Never raises on well-shaped input."""
+) -> tuple[str, ...]:
+    """Every way (f, s, p, q) fails to be coherent, q defaulting to f_*p as
+    in CoherentPair; empty when it is coherent.  Never raises on
+    well-shaped input."""
     pushed = pushforward(p, f, s.source)
-    violations = _violations(f, s, pushed if q is None else q, pushed)
-    return CoherenceReport(not violations, violations)
+    return _violations(f, s, pushed if q is None else q, pushed)
 
 
 @dataclass(frozen=True)
@@ -183,4 +178,4 @@ def disintegration_pair(
     p: FiniteDistribution, f: Mapping[str, str], target: FiniteSpace
 ) -> CoherentPair:
     """The optimal pair whose hypothesis is the exact disintegration of p."""
-    return CoherentPair(f, disintegrate(p, f, target).kernel, p)
+    return CoherentPair(f, disintegrate(p, f, target), p)

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from kernelflow.borel import DensityModel, PartitionLevel, cell_count
-from kernelflow.entropy import ext_mul, re_fin
+from kernelflow.entropy import re_fin
 from kernelflow.errors import DomainMismatchError
 from kernelflow.finite import (
     FiniteDistribution,
@@ -32,6 +32,13 @@ from kernelflow.finite import (
 from kernelflow.pairs import CoherentPair, compose_pairs, disintegration_pair, singleton_pair
 
 INF = math.inf
+
+
+def ext_mul(a: float, b: float) -> float:
+    """Multiplication in [0, inf] with the inf * 0 = 0 convention."""
+    if a == 0 or b == 0:
+        return 0.0
+    return a * b
 
 
 def labels(count: int, prefix: str) -> tuple[str, ...]:
@@ -457,7 +464,7 @@ def _mixed(pair: CoherentPair, t: Fraction) -> CoherentPair:
 
     Its reconstruction is (1 - t) s(q) + t p, so RE(mixed(t)) is convex in
     t and 0 at t = 1, hence strictly falling on [0, 1] unless s(q) = p."""
-    exact = disintegrate(pair.p, pair.f, pair.q.space).kernel
+    exact = disintegrate(pair.p, pair.f, pair.q.space)
     rows = {
         y: flatten([(1 - t, pair.s(y)), (t, exact(y))]) if pair.q(y) > 0 else pair.s(y)
         for y in pair.q.space

@@ -6,10 +6,8 @@ import inspect
 import kernelflow
 
 PUBLIC_NAMES = [
-    "CoherenceReport",
     "CoherentPair",
     "DensityModel",
-    "Disintegration",
     "DocumentParseError",
     "DomainMismatchError",
     "FiniteDistribution",

@@ -19,6 +19,7 @@ from kernelflow import borel
 from kernelflow.borel import (
     DensityModel,
     IntegratorSpec,
+    KlTrace,
     bin_masses,
     cell_count,
     discretized_kl,
@@ -52,6 +53,24 @@ def expo1_2():
 
 def norm_cdf(x):
     return 0.5 * math.erfc(-x / math.sqrt(2))
+
+
+def peak_missed_by_the_panels(monkeypatch):
+    """N(mu, 1) || N(mu, 2 + 2^-24) with no panel halvings allowed: the
+    panel holding the peak is kept whole and charged to the error, which
+    passes the ceiling at level 1 and not at level 2.  Returns the model,
+    mu and sigma."""
+    monkeypatch.setattr("kernelflow.borel._MONOTONE_DEPTH", 0)
+    mu, sigma = -16 + 2090.95 / 128, 2 + 2.0**-24
+    return gaussian_model(mu, 1, mu, sigma, truncation=(-16.0, 16.0)), mu, sigma
+
+
+def alternating_pieces():
+    """2,000 pieces with an alternating ratio: levels 1 and 2 finish, and
+    resolving the pieces at level 3 needs more intervals than its cap."""
+    return piecewise_constant_model(
+        [(i / 2000, (i + 1) / 2000, 1.0, 1.5 if i % 2 else 0.5) for i in range(2000)]
+    )
 
 
 def gaussian_cell_oracle(n):
@@ -268,18 +287,32 @@ class TestBinMasses:
 
     def test_live_interval_cap_raises_with_partial_level(self):
         # 100000 periods on [0, 1]: the panels that would resolve them
-        # outnumber the level's cap, so the level is abandoned at once
+        # outnumber the level's cap, so the level is abandoned at once.
+        # bin_masses attaches nothing, and the ladder its finished levels:
+        # none here
         wiggle = DensityModel(
             name="wiggle",
             base_density=lambda x: np.ones_like(x),
             ratio=lambda x: 1.0 + 0.5 * np.sin(2e5 * np.pi * x),
             support=(0.0, 1.0),
         )
-        with pytest.raises(IntegrationToleranceError) as info:
+        with pytest.raises(IntegrationToleranceError, match="live intervals at level 1$") as info:
             bin_masses(wiggle, 1, QUAD)
-        assert info.value.partial.n == 1
-        assert info.value.partial.p_mass.size == cell_count(1)
-        assert info.value.partial.err_est == math.inf
+        assert info.value.partial is None
+        with pytest.raises(IntegrationToleranceError, match="live intervals at level 1$") as info:
+            estimate_kl(wiggle, 3, 1e-6, QUAD)
+        assert info.value.partial == KlTrace((), False, INF)
+
+    def test_levels_with_different_masses_differ(self):
+        # equality used to skip the masses, so these two level-1 results
+        # (KL 0.143 and 0.355) compared and hashed equal
+        spec = IntegratorSpec(kind="mc", seed=0)
+        a = bin_masses(exponential_model(1, 2), 1, spec)
+        b = bin_masses(exponential_model(1, 3), 1, spec)
+        assert discretized_kl(a) != discretized_kl(b)
+        assert a != b
+        assert len({a, b}) == 2
+        assert a == a
 
     @pytest.mark.parametrize("n, kind", [(21, "mc"), (64, "quad")])
     def test_level_too_large_to_hold_is_refused(self, n, kind):
@@ -349,18 +382,17 @@ class TestRatioShapes:
     def test_nodes_catch_a_missed_crossing(self, monkeypatch):
         # With no panel halvings allowed, the panel holding the peak is kept
         # whole, its edge crossings go unlocated and its mass is charged to
-        # the error.  The ratio at the Gauss nodes inside it still leaves
-        # the interval's cell, and halving until each interval's nodes and
-        # ends agree puts every cell's mass right.  Checking the nodes
+        # the error, past the ceiling.  The ratio at the Gauss nodes inside
+        # it still leaves the interval's cell, and halving until each
+        # interval's nodes and ends agree puts every cell's mass right, as
+        # the level shows once the ceiling is lifted.  Checking the nodes
         # alone leaves a crossing in the gap between the last node and an
         # end: 1.3e-9 of mass in the wrong cell.
-        monkeypatch.setattr("kernelflow.borel._MONOTONE_DEPTH", 0)
-        mu = -16 + 2090.95 / 128
-        sigma = 2 + 2.0**-24
-        model = gaussian_model(mu, 1, mu, sigma, truncation=(-16.0, 16.0))
-        with pytest.raises(IntegrationToleranceError) as info:
+        model, mu, sigma = peak_missed_by_the_panels(monkeypatch)
+        with pytest.raises(IntegrationToleranceError, match="^quadrature error estimate .* at level 8$"):
             bin_masses(model, 8, QUAD)
-        level = info.value.partial
+        monkeypatch.setattr("kernelflow.borel._ERR_CEILING", INF)
+        level = bin_masses(model, 8, QUAD)
         assert level.err_est > 1e-4
         p_ref, q_ref = gaussian_scale_oracle(8, mu, sigma)
         assert np.max(np.abs(level.p_mass - p_ref)) < 1e-11
@@ -491,6 +523,30 @@ class TestEstimateKl:
         a = estimate_kl(gauss01_11(), 4, 1e-6, QUAD)
         b = estimate_kl(gauss01_11(), 4, 1e-6, QUAD)
         assert a.levels == b.levels  # bit-identical
+
+    @pytest.mark.parametrize("failure, finished", [
+        ("live-interval-cap", 2), ("error-ceiling", 1), ("cell-cap", 3),
+    ])
+    def test_failure_carries_the_finished_levels(self, monkeypatch, failure, finished):
+        # whichever way a level fails, partial is the trace of the levels
+        # before it, the same as a ladder that stops there; the level
+        # alone fails the same way and carries nothing
+        if failure == "live-interval-cap":
+            model = alternating_pieces()
+        elif failure == "error-ceiling":
+            model = peak_missed_by_the_panels(monkeypatch)[0]
+        else:
+            monkeypatch.setattr("kernelflow.borel._MAX_CELLS", cell_count(finished))
+            model = gauss01_11()
+        with pytest.raises(IntegrationToleranceError, match=f"\\blevel {finished + 1}\\b") as ladder:
+            estimate_kl(model, 6, 1e-12, QUAD)
+        with pytest.raises(IntegrationToleranceError) as alone:
+            bin_masses(model, finished + 1, QUAD)
+        assert str(alone.value) == str(ladder.value)
+        assert alone.value.partial is None
+        trace = estimate_kl(model, finished, 1e-12, QUAD)
+        assert len(trace.levels) == finished and not trace.converged
+        assert ladder.value.partial == trace
 
 
 def counted(model):
@@ -713,6 +769,22 @@ class TestModels:
         assert model.ratio(xs).tolist() == [0.5, 0.5]
         beyond = np.array([np.nextafter(1.0, 2.0)])
         assert model.ratio(beyond).tolist() == [0.0]
+
+    def test_piecewise_is_zero_below_its_first_edge(self):
+        # a point within np.isclose of the first edge used to count as
+        # inside: 999.995 had density 1
+        model = piecewise_constant_model([(1000.0, 1001.0, 1.0, 1.0)])
+        xs = np.array([999.0, 999.995, np.nextafter(1000.0, 0.0), 1000.0])
+        assert model.base_density(xs).tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert model.ratio(xs).tolist() == [0.0, 0.0, 0.0, 1.0]
+
+    def test_piecewise_gap_after_a_narrow_first_piece(self):
+        # the first piece is narrower than np.isclose's 1e-8, and the gap
+        # after it used to take its values up to 1e-8
+        model = piecewise_constant_model([(0.0, 5e-9, 2.0, 0.5), (0.5, 1.0, 1.0, 1.0)])
+        xs = np.array([0.0, 4e-9, 5e-9, 6e-9, 9.9e-9, 1e-6, 0.25, 0.5])
+        assert model.base_density(xs).tolist() == [2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+        assert model.ratio(xs).tolist() == [0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
 
     def test_piecewise_needs_a_piece(self):
         with pytest.raises(DomainMismatchError) as err:

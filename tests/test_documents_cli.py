@@ -30,7 +30,7 @@ from kernelflow.documents import (
 )
 from kernelflow.errors import DocumentParseError, IncoherentPairError
 from kernelflow.finite import FiniteDistribution, pushforward, uniform
-from kernelflow.pairs import CoherenceReport, CoherentPair
+from kernelflow.pairs import CoherentPair
 from kernelflow.scoring import ForecastRecord
 
 COIN_DOC = """\
@@ -489,13 +489,12 @@ def test_piecewise_unknown_directive_is_named():
 
 
 def test_morphism_document_validate_reports_every_violation():
-    assert parse_morphism(COIN_DOC).validate() == CoherenceReport(True, ())
-    report = parse_morphism(VIOLATION_DOC + "q u 1/3\nq v 2/3\n").validate()
-    assert report == CoherenceReport(False, (
+    assert parse_morphism(COIN_DOC).validate() == ()
+    assert parse_morphism(VIOLATION_DOC + "q u 1/3\nq v 2/3\n").validate() == (
         "pushforward mismatch at 'u': expected 1/3, got 1/2",
         "pushforward mismatch at 'v': expected 2/3, got 1/2",
         "hypothesis row at 'u' puts mass on 'b' outside the fiber",
-    ))
+    )
 
 
 @pytest.fixture
@@ -634,6 +633,15 @@ class TestEstimateKlCommand:
         want = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
         final = float(out.splitlines()[-2].split("= ")[1])
         assert final == pytest.approx(want, abs=1e-9)
+
+    def test_piecewise_truncated_beyond_its_edges(self, capsys, tmp_path):
+        # the point 999.995 used to count as inside the piece, and the base
+        # density integrated to 1.01 over [999, 1002]: exit 1
+        doc = tmp_path / "pw.txt"
+        doc.write_text("piecewise v1\npiece 1000 1001 1 1\n")
+        code, out, err = run(capsys, "estimate-kl", str(doc), "--nmax", "3", "--truncate", "999", "1002")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2:] == ["final = 0", "converged: yes"]
 
     def test_unconverged_is_exit_3(self, capsys):
         code, out, _ = run(

@@ -14,7 +14,6 @@ from kernelflow.entropy import (
     check_functoriality,
     check_lsc_on_sequence,
     convex_decompose,
-    ext_mul,
     re_fin,
 )
 from kernelflow.errors import DomainMismatchError
@@ -39,6 +38,7 @@ from helpers import (
     dense_convex_decompose,
     direct_kl,
     direct_re,
+    ext_mul,
     fraction_kl,
     labels,
     ln_fraction,

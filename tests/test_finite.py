@@ -360,27 +360,24 @@ class TestDisintegration:
         sp = FiniteSpace(("a", "b", "c", "d"))
         f = {"a": "u", "b": "u", "c": "v", "d": "v"}
         dis = disintegrate(uniform(sp), f, UV)
-        assert dis.kernel("u") == dist(sp, a="1/2", b="1/2")
-        assert dis.kernel("v") == dist(sp, c="1/2", d="1/2")
-        assert dis.null_fiber_rows == ()
+        assert dis("u") == dist(sp, a="1/2", b="1/2")
+        assert dis("v") == dist(sp, c="1/2", d="1/2")
 
     def test_identity_fibers_are_dirac(self):
         d = dist(AB, a="1/3", b="2/3")
         dis = disintegrate(d, {"a": "a", "b": "b"}, AB)
-        assert dis.kernel("a") == dirac("a", AB)
-        assert dis.kernel("b") == dirac("b", AB)
+        assert dis("a") == dirac("a", AB)
+        assert dis("b") == dirac("b", AB)
 
     def test_null_fiber_flagging(self):
         d = dirac("a", AB)
         dis = disintegrate(d, {"a": "u", "b": "v"}, UV)
-        assert dis.null_fiber_rows == ("v",)
-        assert dis.kernel("v") == dirac("b", AB)  # uniform on the singleton fiber
+        assert dis("v") == dirac("b", AB)  # uniform on the singleton fiber
 
     def test_empty_fiber_uniform_fallback(self):
         d = uniform(AB)
         dis = disintegrate(d, {"a": "u", "b": "u"}, UV)
-        assert dis.null_fiber_rows == ("v",)
-        assert dis.kernel("v") == uniform(AB)
+        assert dis("v") == uniform(AB)
 
     @given(seeds)
     @settings(max_examples=80, deadline=None)
@@ -390,7 +387,7 @@ class TestDisintegration:
         f = rand_map(rng, space, target)
         p = rand_distribution(space, rng)
         dis = disintegrate(p, f, target)
-        assert kernel_apply(dis.kernel, pushforward(p, f, target)) == p
+        assert kernel_apply(dis, pushforward(p, f, target)) == p
 
 
 class TestSparseAgainstDenseReference:

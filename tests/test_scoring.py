@@ -169,8 +169,7 @@ class TestConditionalScore:
         both = FiniteSpace(("HH", "HT", "TH", "TT"))
         f = {"HH": "H", "HT": "H", "TH": "T", "TT": "T"}
         p = uniform(both)
-        dis = disintegrate(p, f, COIN)
-        pair = CoherentPair(f, dis.kernel, p, pushforward(p, f, COIN))
+        pair = CoherentPair(f, disintegrate(p, f, COIN), p, pushforward(p, f, COIN))
         dec = convex_decompose(pair)
         assert dec.total == 0.0
         assert all(l == 0.0 for _, _, l in dec.entries)
