@@ -17,6 +17,7 @@ from kernelflow import (
     check_functoriality,
     convex_decompose,
     disintegration_pair,
+    is_absolutely_coherent,
     pushforward,
     re_fin,
     uniform,
@@ -47,7 +48,7 @@ def main() -> None:
     pair = CoherentPair(f, s, p, q)
     value = re_fin(pair)
     print("\n== relative entropy ==")
-    print(f"RE = {value.value:.12f}  (absolutely coherent: {value.absolutely_coherent})")
+    print(f"RE = {value.value:.12f}  (absolutely coherent: {is_absolutely_coherent(pair)})")
 
     print("\n== scenario decomposition ==")
     decomposition = convex_decompose(pair)

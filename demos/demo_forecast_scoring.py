@@ -49,8 +49,9 @@ def main() -> None:
           f"= first {deltas[0]:.9f} - last {kl_score(truth, chain[-1]):.9f}")
 
     print("\n== properness audit ==")
-    audit = properness_audit(outcomes, trials=500, seed=7)
-    print(f"  {audit.trials} random (p, q) grid pairs, {len(audit.violations)} violations")
+    trials = 500
+    violations = properness_audit(outcomes, trials=trials, seed=7)
+    print(f"  {trials} random (p, q) grid pairs, {len(violations)} violations")
 
     def hedged(p, q):  # deliberately improper: rewards overconfidence
         top = max(q.space, key=q)
@@ -58,7 +59,7 @@ def main() -> None:
 
     rng = random.Random(7)
     caught = properness_audit(outcomes, trials=50, seed=rng.randint(0, 10**6), scorer=hedged)
-    print(f"  deliberately improper scorer: {len(caught.violations)} violations caught")
+    print(f"  deliberately improper scorer: {len(caught)} violations caught")
 
 
 if __name__ == "__main__":

@@ -59,7 +59,6 @@ from .pairs import (
 )
 from .scoring import (
     ForecastRecord,
-    PropernessAudit,
     ScoreReport,
     empirical_log_score,
     kl_score,

@@ -97,7 +97,7 @@ def cmd_re(args) -> int:
     if check.residual is not None:
         print(f"functoriality residual = {_fmt(check.residual)}")
     else:
-        agree = "yes" if check.infinite_agreement else "no"
+        agree = "yes" if check.holds() else "no"
         print(f"both sides infinite together: {agree}")
     return EXIT_OK
 

@@ -133,11 +133,9 @@ class MorphismDocument:
 
     x_name: str
     y_name: str
-    x_space: FiniteSpace
-    y_space: FiniteSpace
-    p: FiniteDistribution
+    p: FiniteDistribution  # on X
     f: dict[str, str]
-    s: StochasticKernel
+    s: StochasticKernel  # from Y to X
     q: FiniteDistribution | None  # declared, optional; checked against f_*p
 
     def to_pair(self) -> CoherentPair:
@@ -221,6 +219,9 @@ def parse_morphism(text: str) -> MorphismDocument:
             raise DocumentParseError(
                 f"map sends {x!r} to unknown point {f_map[x]!r}", at["map", x]
             )
+    for x in f_map:
+        if x not in x_space:
+            raise DocumentParseError(f"map defined at unknown point {x!r}", at["map", x])
     rows = {}
     for y in y_space:
         raw = s_raw.get(y)
@@ -232,20 +233,21 @@ def parse_morphism(text: str) -> MorphismDocument:
             raise DocumentParseError(f"hypothesis row for unknown point {y!r}", at["s", y])
     s = StochasticKernel(y_space, x_space, rows)
     q = distribution(y_space, q_raw, "q", "q") if q_raw else None
-    return MorphismDocument(x_name, y_name, x_space, y_space, p, f_map, s, q)
+    return MorphismDocument(x_name, y_name, p, f_map, s, q)
 
 
 def serialize_morphism(doc: MorphismDocument) -> str:
+    x_space, y_space = doc.p.space, doc.s.source
     out = [MORPHISM_TAG]
-    out.append(f"space {doc.x_name} " + " ".join(doc.x_space))
-    out.append(f"space {doc.y_name} " + " ".join(doc.y_space))
-    for x in doc.x_space:
+    out.append(f"space {doc.x_name} " + " ".join(x_space))
+    out.append(f"space {doc.y_name} " + " ".join(y_space))
+    for x in x_space:
         out.append(f"map {x} {doc.f[x]}")
-    for x in doc.x_space:
+    for x in x_space:
         out.append(f"p {x} {format_fraction(doc.p(x))}")
-    for y in doc.y_space:
+    for y in y_space:
         row = doc.s(y)
-        for x in doc.x_space:
+        for x in x_space:
             if row(x) > 0:
                 out.append(f"s {y} {x} {format_fraction(row(x))}")
     return "\n".join(out) + "\n"

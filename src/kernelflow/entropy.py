@@ -60,10 +60,6 @@ class ReValue:
 
     value: float
 
-    @property
-    def absolutely_coherent(self) -> bool:
-        return self.value < INF
-
 
 def re_fin(pair: CoherentPair) -> ReValue:
     """Relative entropy of a coherent pair: KL of p against s applied to q.
@@ -112,13 +108,12 @@ class FunctorialityCheck:
     first: float
     second: float
     composite: float
-    residual: float | None          # set when all three values are finite
-    infinite_agreement: bool | None  # set when any value is infinite
+    residual: float | None  # None when any value is infinite
 
     def holds(self) -> bool:
-        if self.residual is not None:
-            return abs(self.residual) < _FUNCTORIALITY_TOL
-        return bool(self.infinite_agreement)
+        if self.residual is None:
+            return self.composite == self.first + self.second
+        return abs(self.residual) < _FUNCTORIALITY_TOL
 
 
 def check_functoriality(first: CoherentPair, second: CoherentPair) -> FunctorialityCheck:
@@ -127,9 +122,7 @@ def check_functoriality(first: CoherentPair, second: CoherentPair) -> Functorial
     a = re_fin(first).value
     b = re_fin(second).value
     c = re_fin(composite).value
-    if INF in (a, b, c):
-        return FunctorialityCheck(a, b, c, None, c == a + b)
-    return FunctorialityCheck(a, b, c, c - a - b, None)
+    return FunctorialityCheck(a, b, c, None if INF in (a, b, c) else c - a - b)
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,9 @@ class FiniteSpace:
     """A finite set of distinct, nonempty string labels in a fixed order.
 
     The order given at construction is canonical: all iteration, summation
-    and serialization follow it.  Membership and index lookups go through
-    a label -> index map, built on the first lookup, so they cost O(1) and
-    a space that is never queried does not pay for the map.
+    and serialization follow it.  Membership lookups go through a label ->
+    index map, built on the first lookup, so they cost O(1) and a space
+    that is never queried does not pay for the map.
     """
 
     points: tuple[str, ...]
@@ -64,12 +64,6 @@ class FiniteSpace:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise DomainMismatchError(f"{label!r} is not a point of the space") from None
 
 
 @dataclass(frozen=True)

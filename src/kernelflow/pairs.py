@@ -10,6 +10,10 @@ composition and additivity laws are exact only under the pointwise
 reading.  In particular a point of Y with an empty fiber admits no
 coherent hypothesis at all, so f must hit every point of Y.
 
+f is kept on X: entries of the given map at points outside X are dropped
+once f_*p has checked it on X, so they neither hide an empty fiber nor
+change equality or hashing.
+
 q is part of the morphism, not extra data: construction derives f_*p once,
 takes it as q when none is given, and otherwise reports every point where
 the given q differs from it.  Validation happens eagerly at construction;
@@ -75,6 +79,7 @@ def validate_coherent(
     in CoherentPair; empty when it is coherent.  Never raises on
     well-shaped input."""
     pushed = pushforward(p, f, s.source)
+    f = {x: f[x] for x in p.space}
     return _violations(f, s, pushed if q is None else q, pushed)
 
 
@@ -97,6 +102,7 @@ class CoherentPair:
         if p.space != s.target or (q is not None and q.space != s.source):
             raise DomainMismatchError("pair shapes do not align with the kernel")
         pushed = pushforward(p, f, s.source)
+        f = {x: f[x] for x in p.space}
         if q is None:
             q = pushed
         violations = _violations(f, s, q, pushed)
@@ -104,7 +110,7 @@ class CoherentPair:
             raise IncoherentPairError(
                 "pair is not coherent: " + "; ".join(violations), violations
             )
-        object.__setattr__(self, "f", dict(f))
+        object.__setattr__(self, "f", f)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -116,13 +122,13 @@ class CoherentPair:
         return (
             self.p == other.p
             and self.q == other.q
-            and all(self.f[x] == other.f[x] for x in self.p.space)
+            and self.f == other.f
             and all(self.s(y) == other.s(y) for y in self.q.space if self.q(y) > 0)
         )
 
     def __hash__(self):
         rows = tuple(self.s(y) for y in self.q.space if self.q(y) > 0)
-        return hash((self.p, self.q, rows, tuple(sorted(self.f.items()))))
+        return hash((self.p, self.q, rows, tuple(self.f.items())))
 
     def hypothesis_pushforward(self) -> FiniteDistribution:
         """s applied to q; the pair's reconstruction of p."""

@@ -41,7 +41,6 @@ class ForecastRecord:
 
 @dataclass(frozen=True)
 class ScoreReport:
-    forecaster: str
     per_round: tuple[tuple[int, float], ...]
 
     @property
@@ -57,8 +56,7 @@ def empirical_log_score(log: Sequence[ForecastRecord]) -> ScoreReport:
     """
     if not log:
         raise DomainMismatchError("empty forecast log")
-    names = {r.forecaster for r in log}
-    if len(names) != 1:
+    if len({r.forecaster for r in log}) != 1:
         raise DomainMismatchError("log mixes forecasters; score them separately")
     seen = set()
     rows = []
@@ -70,7 +68,7 @@ def empirical_log_score(log: Sequence[ForecastRecord]) -> ScoreReport:
         # 0.0 - x, not -x: a mass of 1 scores 0.0, not -0.0
         score = INF if mass == 0 else 0.0 - _ln_ratio(mass.numerator, mass.denominator)
         rows.append((rec.round, score))
-    return ScoreReport(next(iter(names)), tuple(rows))
+    return ScoreReport(tuple(rows))
 
 
 def kl_score(truth: FiniteDistribution, forecast: FiniteDistribution) -> float:
@@ -164,12 +162,6 @@ def meta_score(
     return re_fin(pair).value
 
 
-@dataclass(frozen=True)
-class PropernessAudit:
-    trials: int
-    violations: tuple[str, ...]
-
-
 def _random_rational_distribution(space: FiniteSpace, rng: random.Random) -> FiniteDistribution:
     """Masses k/d summing to 1, for a random d from |space| to 64."""
     d = rng.randint(len(space), 64)
@@ -187,12 +179,14 @@ def properness_audit(
     trials: int,
     seed: int,
     scorer: Callable[[FiniteDistribution, FiniteDistribution], float] = kl_score,
-) -> PropernessAudit:
+) -> tuple[str, ...]:
     """Randomized strict-properness check on exact rational grid points.
 
     Asserts scorer(p, p) = 0 <= scorer(p, q), strictly whenever p and q
-    differ in total variation by more than 1e-9.  The default scorer
-    passes at any trial count; a deliberately improper scorer is caught.
+    differ in total variation by more than 1e-9, and returns every
+    violation found, an empty tuple when there is none.  The default
+    scorer passes at any trial count; a deliberately improper scorer is
+    caught.
     """
     if trials < 1:
         raise DomainMismatchError("trials must be >= 1")
@@ -209,4 +203,4 @@ def properness_audit(
             violations.append(f"trial {t}: S(p,q) = {cross!r} < S(p,p) = {self_score!r}")
         elif float(total_variation(p, q)) > 1e-9 and not cross > self_score:
             violations.append(f"trial {t}: no strict gap although p != q")
-    return PropernessAudit(trials, tuple(violations))
+    return tuple(violations)

@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "KlTrace",
     "LocalReDecomposition",
     "PartitionLevel",
-    "PropernessAudit",
     "ReValue",
     "ScoreReport",
     "StochasticKernel",

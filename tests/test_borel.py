@@ -747,6 +747,14 @@ class TestModels:
         with pytest.raises(DomainMismatchError):
             uniform_pair_model(0, 2, 1, 3)  # p not inside q
 
+    def test_uniform_pair_monte_carlo_ladder(self):
+        # U[0, 1] || U[0, 2]: the ratio takes the values 2 and 0 only
+        trace = estimate_kl(uniform_pair_model(0, 1, 0, 2), 6, 1e-6,
+                            IntegratorSpec(kind="mc", seed=1))
+        assert trace.converged
+        assert all(bins == 2 for _, _, bins, _ in trace.levels)
+        assert trace.final == pytest.approx(math.log(2), abs=5e-3)
+
     def test_piecewise_model(self):
         model = piecewise_constant_model(
             [(0.0, 0.5, 1.0, 1.5), (0.5, 1.0, 1.0, 0.5)]

@@ -101,6 +101,20 @@ s u b 1
 s v b 1
 """
 
+# a coherent pair but for the map line at zz, a point outside X, on line 6
+MAP_OUTSIDE_X_DOC = """\
+morphism v1
+space X a b
+space Y H T
+map a H
+map b T
+map zz H
+p a 1/2
+p b 1/2
+s H a 1
+s T b 1
+"""
+
 FORECAST_LOG = """\
 forecast-log v1
 outcomes H T
@@ -307,7 +321,7 @@ class TestPushforwardDerivedOnce:
         doc = parse_morphism(COIN_DOC)
         pair = CoherentPair(doc.f, doc.s, doc.p)
         assert len(calls) == 1
-        assert pair.q == uniform(doc.y_space)
+        assert pair.q == uniform(doc.s.source)
 
 
 class TestOtherDocuments:
@@ -440,6 +454,7 @@ PARSE_ERROR_CASES = {
              "missing p masses"),
     "map_missing": (parse_morphism, COIN_DOC.replace("map TH T\n", ""), 14,
                     "map undefined at point 'TH'"),
+    "map_outside_x": (parse_morphism, MAP_OUTSIDE_X_DOC, 6, "map defined at unknown point 'zz'"),
     "distribution_space_twice": (parse_distribution, TRUTH_DOC + "space H T\n", 5,
                                  "space declared twice"),
     "mass_arity": (parse_distribution, TRUTH_DOC.replace("mass T 1/2", "mass T"), 4,

@@ -79,16 +79,16 @@ class TestReFin:
             pair = rand_coherent_pair(rng, optimal=True)
             out = re_fin(pair)
             assert out.value == 0.0  # exact: every ratio is literally 1
-            assert out.absolutely_coherent
+            assert is_absolutely_coherent(pair)
 
     def test_half_ln_43(self):
         out = re_fin(two_point("1/2", "1/4"))
         assert out.value == pytest.approx(HALF_LN_43, abs=1e-9)
 
     def test_infinite_branch(self):
-        out = re_fin(two_point("1/2", "1"))
-        assert out.value == INF
-        assert not out.absolutely_coherent
+        pair = two_point("1/2", "1")
+        assert re_fin(pair).value == INF
+        assert not is_absolutely_coherent(pair)
 
     def test_zero_mass_term_is_exact_zero(self):
         p = FiniteDistribution(X2, {"x1": Fraction(1)})
@@ -381,7 +381,7 @@ class TestFunctoriality:
         check = check_functoriality(first, second)
         assert check.second == INF
         assert check.composite == INF
-        assert check.infinite_agreement and check.holds()
+        assert check.residual is None and check.holds()
 
     @given(seeds)
     @settings(max_examples=60, deadline=None)
@@ -392,7 +392,7 @@ class TestFunctoriality:
         check = check_functoriality(first, second)
         assert check.first == INF
         assert check.composite == INF
-        assert check.infinite_agreement and check.holds()
+        assert check.residual is None and check.holds()
 
     @given(seeds)
     @settings(max_examples=100, deadline=None)

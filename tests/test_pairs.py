@@ -84,6 +84,52 @@ class TestValidateCoherent:
         assert any("pushforward mismatch" in v for v in violations)
 
 
+class TestMapOnX:
+    """Map entries at points outside X are not part of the pair."""
+
+    HT = FiniteSpace(("H", "T"))
+
+    def test_extra_entries_change_neither_equality_nor_hash(self):
+        s = StochasticKernel(self.HT, AB, {"H": dirac("a", AB), "T": dirac("b", AB)})
+        a = CoherentPair({"a": "H", "b": "T"}, s, uniform(AB))
+        b = CoherentPair({"a": "H", "b": "T", "zz": "H"}, s, uniform(AB))
+        assert b.f == {"a": "H", "b": "T"}
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_extra_entry_does_not_hide_an_empty_fiber(self):
+        x = FiniteSpace(("a",))
+        s = StochasticKernel(self.HT, x, {"H": dirac("a", x), "T": dirac("a", x)})
+        f = {"a": "H", "zz": "T"}
+        want = ("the fiber over 'T' is empty; no hypothesis row can be coherent",)
+        assert validate_coherent(f, s, dirac("a", x)) == want
+        with pytest.raises(IncoherentPairError) as err:
+            CoherentPair(f, s, dirac("a", x))
+        assert err.value.violations == want
+
+
+class TestEquality:
+    def test_rows_over_null_fibers_change_neither_equality_nor_hash(self):
+        x = FiniteSpace(("a", "b", "c", "d"))
+        y = FiniteSpace(("u", "v", "w"))
+        f = {"a": "u", "b": "v", "c": "w", "d": "w"}
+        p = FiniteDistribution(x, {"a": Fraction(1, 2), "b": Fraction(1, 2)})
+        rows = {"u": dirac("a", x), "v": dirac("b", x)}
+        # q(w) = 0, so the row at w is a witness, not data
+        s1 = StochasticKernel(y, x, {**rows, "w": dirac("c", x)})
+        s2 = StochasticKernel(y, x, {**rows, "w": dirac("d", x)})
+        first, second = CoherentPair(f, s1, p), CoherentPair(f, s2, p)
+        assert s1 != s2
+        assert first == second
+        assert hash(first) == hash(second)
+
+    def test_equality_with_another_type_is_false(self):
+        pair = coin_pair()
+        assert (pair == object()) is False
+        assert pair != object()
+
+
 class TestShapes:
     def test_misaligned_shapes(self):
         f = {"a": "u", "b": "v"}

@@ -300,9 +300,7 @@ class TestMetaScore:
 class TestPropernessAudit:
     def test_kl_score_is_proper(self):
         space = FiniteSpace(("a", "b", "c", "d"))
-        audit = properness_audit(space, trials=1000, seed=2024)
-        assert audit.trials == 1000
-        assert audit.violations == ()
+        assert properness_audit(space, trials=1000, seed=2024) == ()
 
     def test_exhaustive_two_point_grid(self):
         # every p, q on the 1/64 grid of a 2-point space
@@ -320,13 +318,12 @@ class TestPropernessAudit:
 
     def test_negated_kl_is_caught(self):
         improper = lambda p, q: -kl_score(p, q)
-        audit = properness_audit(COIN, trials=50, seed=7, scorer=improper)
-        assert audit.violations  # sensitivity check
+        assert properness_audit(COIN, trials=50, seed=7, scorer=improper)  # sensitivity check
 
     def test_constant_scorer_violations_are_named(self):
         # S(p, p) = 1 is not 0, and S(p, q) = S(p, p) has no strict gap
-        audit = properness_audit(COIN, trials=1, seed=7, scorer=lambda p, q: 1.0)
-        assert audit.violations == (
+        violations = properness_audit(COIN, trials=1, seed=7, scorer=lambda p, q: 1.0)
+        assert violations == (
             "trial 0: S(p,p) = 1.0, not 0",
             "trial 0: no strict gap although p != q",
         )
