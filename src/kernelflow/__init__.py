@@ -62,10 +62,8 @@ from .scoring import (
     ScoreReport,
     empirical_log_score,
     kl_score,
-    meta_score,
     properness_audit,
     sequential_scores,
-    total_variation,
 )
 
 __version__ = "0.1.0"

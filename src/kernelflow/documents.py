@@ -237,11 +237,22 @@ def parse_morphism(text: str) -> MorphismDocument:
 
 
 def serialize_morphism(doc: MorphismDocument) -> str:
+    """The canonical text of doc; DomainMismatchError when parse_morphism could not read it back."""
     x_space, y_space = doc.p.space, doc.s.source
+    if doc.s.target != x_space:
+        raise DomainMismatchError("the hypothesis rows live on another space than p")
+    if doc.x_name == doc.y_name:
+        raise DomainMismatchError(f"both spaces are named {doc.x_name!r}")
+    for what, tokens in (("space name", (doc.x_name, doc.y_name)), ("label", (*x_space, *y_space))):
+        for token in tokens:
+            if token.split() != [token] or "#" in token:
+                raise DomainMismatchError(f"{what} {token!r} is not one token without '#'")
     out = [MORPHISM_TAG]
     out.append(f"space {doc.x_name} " + " ".join(x_space))
     out.append(f"space {doc.y_name} " + " ".join(y_space))
     for x in x_space:
+        if doc.f.get(x) not in y_space:
+            raise DomainMismatchError(f"map sends {x!r} to {doc.f.get(x)!r}, not a point of {doc.y_name!r}")
         out.append(f"map {x} {doc.f[x]}")
     for x in x_space:
         out.append(f"p {x} {format_fraction(doc.p(x))}")

@@ -6,7 +6,9 @@ induced by viewing a forecast as a hypothesis on a singleton-target
 morphism, which makes it strictly proper, additive under composition and
 zero exactly on perfect forecasts.  Raw log loss is provided separately
 for outcome-only data; its expectation exceeds the KL score by the
-truth's Shannon entropy, a constant in the forecast.
+truth's Shannon entropy, a constant in the forecast.  A forecaster who
+conditions on another's output is a hypothesis kernel on a morphism, and
+entropy.convex_decompose gives its score, in total and per scenario.
 
 All scores are losses: smaller is better.
 """
@@ -19,10 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .entropy import INF, _kl, _ln_ratio, re_fin
+from .entropy import INF, _kl, _ln_ratio
 from .errors import DomainMismatchError, IndeterminateScoreError
-from .finite import FiniteDistribution, FiniteSpace, StochasticKernel
-from .pairs import CoherentPair
+from .finite import FiniteDistribution, FiniteSpace
 
 
 @dataclass(frozen=True)
@@ -110,68 +111,12 @@ def sequential_scores(
     return out
 
 
-def product_space(x_space: FiniteSpace, f_space: FiniteSpace) -> FiniteSpace:
-    """Labels "x|g" for each outcome x and candidate forecast g, x-major."""
-    return FiniteSpace(tuple(f"{x}|{g}" for x in x_space for g in f_space))
-
-
-def meta_kernel(
-    x_space: FiniteSpace,
-    f_space: FiniteSpace,
-    rows: dict[str, FiniteDistribution],
-) -> StochasticKernel:
-    """Lift per-forecast distributions on X to fiber-supported product rows."""
-    prod = product_space(x_space, f_space)
-    lifted = {}
-    for g in f_space:
-        row = rows[g]
-        if row.space != x_space:
-            raise DomainMismatchError(f"row for {g!r} lives on the wrong space")
-        lifted[g] = FiniteDistribution(prod, {f"{x}|{g}": row(x) for x in x_space})
-    return StochasticKernel(f_space, prod, lifted)
-
-
-def meta_score(
-    joint: FiniteDistribution,
-    first_forecaster_marginal: FiniteDistribution,
-    second_forecaster: StochasticKernel,
-) -> float:
-    """Score a forecaster who conditions on another forecaster's output.
-
-    joint is the true distribution on pairs (outcome, first forecast),
-    living on a product space whose labels "x|g" end in the forecast
-    coordinate g after the last "|".  The second forecaster supplies one
-    distribution over the product space per candidate forecast, supported
-    on that forecast's fiber.  The score is the expected KL between the
-    true conditional and the supplied row.
-    """
-    f_space = second_forecaster.source
-    proj = {}
-    for label in joint.space:
-        g = label.rpartition("|")[2]
-        if g not in f_space:
-            raise DomainMismatchError(
-                f"joint point {label!r} projects to {g!r}, not a candidate forecast"
-            )
-        proj[label] = g
-    pair = CoherentPair(proj, second_forecaster, joint)
-    if pair.q != first_forecaster_marginal:
-        raise DomainMismatchError(
-            "joint's forecast marginal does not match the first forecaster's marginal"
-        )
-    return re_fin(pair).value
-
-
 def _random_rational_distribution(space: FiniteSpace, rng: random.Random) -> FiniteDistribution:
-    """Masses k/d summing to 1, for a random d from |space| to 64."""
-    d = rng.randint(len(space), 64)
+    """Masses k/d summing to 1, for a random d from |space| to max(64, |space|)."""
+    d = rng.randint(len(space), max(64, len(space)))
     cuts = sorted(rng.randint(0, d) for _ in range(len(space) - 1))
     parts = [b - a for a, b in zip([0] + cuts, cuts + [d])]
     return FiniteDistribution(space, {x: Fraction(k, d) for x, k in zip(space, parts)})
-
-
-def total_variation(p: FiniteDistribution, q: FiniteDistribution) -> Fraction:
-    return sum(abs(p(x) - q(x)) for x in p.space) / 2
 
 
 def properness_audit(
@@ -182,11 +127,11 @@ def properness_audit(
 ) -> tuple[str, ...]:
     """Randomized strict-properness check on exact rational grid points.
 
-    Asserts scorer(p, p) = 0 <= scorer(p, q), strictly whenever p and q
-    differ in total variation by more than 1e-9, and returns every
-    violation found, an empty tuple when there is none.  The default
-    scorer passes at any trial count; a deliberately improper scorer is
-    caught.
+    Asserts scorer(p, p) = 0 <= scorer(p, q), strictly whenever the total
+    variation sum(|p(x) - q(x)|) / 2, rounded to a float, exceeds 1e-9,
+    and returns every violation found, an empty tuple when there is none.
+    The default scorer passes at any trial count; a deliberately improper
+    scorer is caught.
     """
     if trials < 1:
         raise DomainMismatchError("trials must be >= 1")
@@ -201,6 +146,6 @@ def properness_audit(
             violations.append(f"trial {t}: S(p,p) = {self_score!r}, not 0")
         if cross < self_score:
             violations.append(f"trial {t}: S(p,q) = {cross!r} < S(p,p) = {self_score!r}")
-        elif float(total_variation(p, q)) > 1e-9 and not cross > self_score:
+        elif float(sum(abs(p(x) - q(x)) for x in space) / 2) > 1e-9 and not cross > self_score:
             violations.append(f"trial {t}: no strict gap although p != q")
     return tuple(violations)

@@ -50,7 +50,7 @@ from kernelflow.finite import (
     pushforward,
 )
 from kernelflow.pairs import disintegration_pair, validate_coherent
-from kernelflow.scoring import kl_score, properness_audit, sequential_scores, total_variation
+from kernelflow.scoring import kl_score, properness_audit, sequential_scores
 
 from helpers import (
     agreement_check,
@@ -271,7 +271,7 @@ def test_criterion_08_properness(capsys):
             grid_ok = False
         for q in grid:
             cross = kl_score(p, q)
-            if cross < 0 or (total_variation(p, q) > 0 and not cross > 0):
+            if cross < 0 or (p != q and not cross > 0):
                 grid_ok = False
     ok = not violations and grid_ok
     report(capsys, 8, "log score strictly proper (1000 trials + exhaustive grid)",

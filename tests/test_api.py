@@ -48,14 +48,12 @@ PUBLIC_NAMES = [
     "kernel_apply",
     "kl_score",
     "kleisli_compose",
-    "meta_score",
     "piecewise_constant_model",
     "properness_audit",
     "pushforward",
     "re_fin",
     "sequential_scores",
     "singleton_pair",
-    "total_variation",
     "uniform",
     "uniform_pair_model",
     "validate_coherent",

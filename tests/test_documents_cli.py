@@ -21,6 +21,7 @@ import kernelflow
 from kernelflow.borel import cell_count
 from kernelflow.cli import main
 from kernelflow.documents import (
+    MorphismDocument,
     _fraction,
     parse_distribution,
     parse_forecast_log,
@@ -28,8 +29,15 @@ from kernelflow.documents import (
     parse_piecewise,
     serialize_morphism,
 )
-from kernelflow.errors import DocumentParseError, IncoherentPairError
-from kernelflow.finite import FiniteDistribution, pushforward, uniform
+from kernelflow.errors import DocumentParseError, DomainMismatchError, IncoherentPairError
+from kernelflow.finite import (
+    FiniteDistribution,
+    FiniteSpace,
+    StochasticKernel,
+    dirac,
+    pushforward,
+    uniform,
+)
 from kernelflow.pairs import CoherentPair
 from kernelflow.scoring import ForecastRecord
 
@@ -211,6 +219,44 @@ class TestMorphismDocuments:
         doc = parse_morphism(COIN_DOC)
         text = serialize_morphism(doc)
         assert serialize_morphism(parse_morphism(text)) == text
+
+    @pytest.mark.parametrize(
+        "label, x_name, y_name, named",
+        [
+            ("a b", "X", "Y", "label 'a b'"),
+            ("a#1", "X", "Y", "label 'a#1'"),
+            ("a", "X", "X", "named 'X'"),
+            ("a", "X 1", "Y", "space name 'X 1'"),
+        ],
+    )
+    def test_serialization_refuses_what_cannot_be_read_back(self, label, x_name, y_name, named):
+        xs, ys = FiniteSpace((label,)), FiniteSpace(("b",))
+        doc = MorphismDocument(
+            x_name,
+            y_name,
+            dirac(label, xs),
+            {label: "b"},
+            StochasticKernel(ys, xs, {"b": dirac(label, xs)}),
+            None,
+        )
+        with pytest.raises(DomainMismatchError, match=named):
+            serialize_morphism(doc)
+
+    @pytest.mark.parametrize(
+        "f, target, named",
+        [
+            ({}, ("a",), "map sends 'a' to None, not a point of 'Y'"),
+            ({"a": "zz"}, ("a",), "map sends 'a' to 'zz', not a point of 'Y'"),
+            ({"a": "b"}, ("a", "d"), "rows live on another space than p"),
+        ],
+        ids=["map-undefined", "map-outside-y", "rows-off-x"],
+    )
+    def test_serialization_refuses_a_morphism_it_cannot_write(self, f, target, named):
+        xs, ts = FiniteSpace(("a",)), FiniteSpace(target)
+        s = StochasticKernel(FiniteSpace(("b",)), ts, {"b": uniform(ts)})
+        doc = MorphismDocument("X", "Y", dirac("a", xs), f, s, None)
+        with pytest.raises(DomainMismatchError, match=named):
+            serialize_morphism(doc)
 
     def test_serialization_is_canonical(self):
         # shuffled directive order parses to the same canonical bytes

@@ -1,4 +1,4 @@
-"""Forecast scoring: log loss, KL score, conditional/sequential/meta scoring."""
+"""Forecast scoring: log loss, KL score, conditional and sequential scoring."""
 
 import math
 import random
@@ -24,12 +24,8 @@ from kernelflow.scoring import (
     ForecastRecord,
     empirical_log_score,
     kl_score,
-    meta_kernel,
-    meta_score,
-    product_space,
     properness_audit,
     sequential_scores,
-    total_variation,
 )
 
 from helpers import rand_distribution, rand_space
@@ -152,6 +148,30 @@ def coin_joint_pair():
     return CoherentPair(f, s, uniform(both), uniform(COIN))
 
 
+def forecaster_pair(joint, rows):
+    """A forecaster who sees which candidate forecast g was issued: X holds
+    the points (x, g) of outcome x and candidate g, f projects each to g,
+    p is joint on X, and the row at g is the distribution rows[g] on COIN,
+    placed on g's fibre."""
+    xs = FiniteSpace(tuple(f"{x},{g}" for x in COIN for g in rows))
+    f = {f"{x},{g}": g for x in COIN for g in rows}
+    s = StochasticKernel(
+        FiniteSpace(tuple(rows)),
+        xs,
+        {g: FiniteDistribution(xs, {f"{x},{g}": r(x) for x in COIN}) for g, r in rows.items()},
+    )
+    return CoherentPair(f, s, FiniteDistribution(xs, joint))
+
+
+# outcome and candidate forecast correlated: P(H | gH) = 3/4, P(H | gT) = 1/4
+CORRELATED = {
+    "H,gH": Fraction(3, 8),
+    "T,gH": Fraction(1, 8),
+    "H,gT": Fraction(1, 8),
+    "T,gT": Fraction(3, 8),
+}
+
+
 class TestConditionalScore:
     def test_coin_example(self):
         dec = convex_decompose(coin_joint_pair())
@@ -173,6 +193,33 @@ class TestConditionalScore:
         dec = convex_decompose(pair)
         assert dec.total == 0.0
         assert all(l == 0.0 for _, _, l in dec.entries)
+
+    @pytest.mark.parametrize(
+        "joint, rows, want, tol",
+        [
+            # the true conditionals score zero
+            (CORRELATED, {"gH": coin("3/4"), "gT": coin("1/4")}, 0.0, 0.0),
+            # ignoring the forecast: E_q KL(p_g || r) for the constant row r
+            (
+                CORRELATED,
+                {"gH": coin("1/2"), "gT": coin("1/2")},
+                0.5 * kl_score(coin("3/4"), coin("1/2")) + 0.5 * kl_score(coin("1/4"), coin("1/2")),
+                1e-12,
+            ),
+            # a single candidate reduces to the KL score
+            (
+                {"H,g": Fraction(1, 2), "T,g": Fraction(1, 2)},
+                {"g": coin("1/4")},
+                kl_score(coin("1/2"), coin("1/4")),
+                0.0,
+            ),
+        ],
+        ids=["true-conditionals", "ignores-forecast", "single-candidate"],
+    )
+    def test_forecaster_of_a_forecaster(self, joint, rows, want, tol):
+        pair = forecaster_pair(joint, rows)
+        assert abs(convex_decompose(pair).total - want) <= tol
+        assert abs(re_fin(pair).value - want) <= tol
 
 
 class TestSequentialScores:
@@ -228,75 +275,6 @@ class TestSequentialScores:
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-class TestMetaScore:
-    @staticmethod
-    def two_by_two():
-        """X = {H,T}, two candidate forecasts gH, gT; the joint correlates
-        outcome with forecast."""
-        fs = FiniteSpace(("gH", "gT"))
-        prod = product_space(COIN, fs)
-        joint = FiniteDistribution(
-            prod,
-            {
-                "H|gH": Fraction(3, 8),
-                "T|gH": Fraction(1, 8),
-                "H|gT": Fraction(1, 8),
-                "T|gT": Fraction(3, 8),
-            },
-        )
-        marginal = FiniteDistribution(
-            fs, {"gH": Fraction(1, 2), "gT": Fraction(1, 2)}
-        )
-        return fs, prod, joint, marginal
-
-    def test_true_conditionals_score_zero(self):
-        fs, prod, joint, marginal = self.two_by_two()
-        rows = {
-            "gH": coin("3/4"),
-            "gT": coin("1/4"),
-        }
-        second = meta_kernel(COIN, fs, rows)
-        assert meta_score(joint, marginal, second) == 0.0
-
-    def test_ignoring_the_forecast(self):
-        # constant rows r: score = E_Q KL(P_g || r), evaluated by hand
-        fs, prod, joint, marginal = self.two_by_two()
-        r = coin("1/2")
-        second = meta_kernel(COIN, fs, {"gH": r, "gT": r})
-        want = 0.5 * kl_score(coin("3/4"), r) + 0.5 * kl_score(coin("1/4"), r)
-        assert meta_score(joint, marginal, second) == pytest.approx(want, abs=1e-12)
-
-    def test_single_candidate_reduces_to_kl(self):
-        fs = FiniteSpace(("g",))
-        prod = product_space(COIN, fs)
-        joint = FiniteDistribution(
-            prod, {"H|g": Fraction(1, 2), "T|g": Fraction(1, 2)}
-        )
-        marginal = dirac("g", fs)
-        second = meta_kernel(COIN, fs, {"g": coin("1/4")})
-        got = meta_score(joint, marginal, second)
-        assert got == kl_score(coin("1/2"), coin("1/4"))
-
-    def test_row_on_the_wrong_space(self):
-        fs = FiniteSpace(("gH", "gT"))
-        with pytest.raises(DomainMismatchError) as err:
-            meta_kernel(COIN, fs, {"gH": coin("1/2"), "gT": uniform(fs)})
-        assert str(err.value) == "row for 'gT' lives on the wrong space"
-
-    def test_marginal_mismatch(self):
-        fs, prod, joint, marginal = self.two_by_two()
-        bad = FiniteDistribution(fs, {"gH": Fraction(1, 4), "gT": Fraction(3, 4)})
-        second = meta_kernel(COIN, fs, {"gH": coin("1/2"), "gT": coin("1/2")})
-        with pytest.raises(DomainMismatchError):
-            meta_score(joint, bad, second)
-
-    def test_label_without_forecast_coordinate(self):
-        fs, prod, joint, marginal = self.two_by_two()
-        second = meta_kernel(COIN, fs, {"gH": coin("1/2"), "gT": coin("1/2")})
-        with pytest.raises(DomainMismatchError, match="not a candidate forecast"):
-            meta_score(coin("1/2"), marginal, second)
-
-
 class TestPropernessAudit:
     def test_kl_score_is_proper(self):
         space = FiniteSpace(("a", "b", "c", "d"))
@@ -328,13 +306,13 @@ class TestPropernessAudit:
             "trial 0: no strict gap although p != q",
         )
 
+    @pytest.mark.parametrize("size", [65, 300])
+    def test_spaces_beyond_the_grid_denominator(self, size):
+        # the denominator is drawn from |space| to max(64, |space|), so a
+        # space with more than 64 points still gets a nonempty range
+        space = FiniteSpace([f"x{i}" for i in range(size)])
+        assert properness_audit(space, trials=1, seed=0) == ()
+
     def test_rejects_nonpositive_trials(self):
         with pytest.raises(DomainMismatchError):
             properness_audit(COIN, trials=0, seed=1)
-
-
-class TestTotalVariation:
-    def test_symmetry_and_bounds(self):
-        p, q = coin("1/4"), coin("3/4")
-        assert total_variation(p, q) == total_variation(q, p) == Fraction(1, 2)
-        assert total_variation(p, p) == 0
