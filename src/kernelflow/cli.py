@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 from . import documents
-from .borel import MODEL_REGISTRY, IntegratorSpec, estimate_kl, piecewise_constant_model
 from .entropy import check_functoriality, convex_decompose, re_fin
 from .errors import (
     DocumentParseError,
@@ -114,6 +113,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_estimate_kl(args) -> int:
+    # the one command that needs numpy imports it when it runs
+    from .borel import MODEL_REGISTRY, IntegratorSpec, estimate_kl, piecewise_constant_model
+
     if len(args.model) == 1 and Path(args.model[0]).is_file():
         pieces = documents.parse_piecewise(_read(args.model[0]))
         model = piecewise_constant_model(pieces, name=args.model[0])

@@ -241,6 +241,8 @@ def serialize_morphism(doc: MorphismDocument) -> str:
     x_space, y_space = doc.p.space, doc.s.source
     if doc.s.target != x_space:
         raise DomainMismatchError("the hypothesis rows live on another space than p")
+    if doc.q is not None and doc.q.space != y_space:
+        raise DomainMismatchError("the declared q lives on another space than the hypothesis rows")
     if doc.x_name == doc.y_name:
         raise DomainMismatchError(f"both spaces are named {doc.x_name!r}")
     for what, tokens in (("space name", (doc.x_name, doc.y_name)), ("label", (*x_space, *y_space))):
@@ -256,6 +258,9 @@ def serialize_morphism(doc: MorphismDocument) -> str:
         out.append(f"map {x} {doc.f[x]}")
     for x in x_space:
         out.append(f"p {x} {format_fraction(doc.p(x))}")
+    if doc.q is not None:
+        for y in y_space:
+            out.append(f"q {y} {format_fraction(doc.q(y))}")
     for y in y_space:
         row = doc.s(y)
         for x in x_space:

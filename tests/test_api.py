@@ -1,9 +1,17 @@
 """The package's public names, pinned so that any change to them is a
-deliberate edit of this list."""
+deliberate edit of this list, and its import path, which loads numpy only
+for the estimator."""
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import kernelflow
+from test_documents_cli import COIN_DOC, FORECAST_LOG
 
 PUBLIC_NAMES = [
     "CoherentPair",
@@ -61,11 +69,51 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
+    # the estimator's names resolve lazily, so they are not in vars(); and
     # submodules become attributes of the package once imported, whichever
     # test imports them first, so they are not part of the list
     public = sorted(
         name
-        for name, value in vars(kernelflow).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
+        for name in dir(kernelflow)
+        if not name.startswith("_") and not inspect.ismodule(getattr(kernelflow, name))
     )
     assert public == PUBLIC_NAMES
+
+
+def test_unknown_names_and_submodules():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        kernelflow.no_such_name
+    from kernelflow import borel
+
+    assert inspect.ismodule(borel) and borel.__name__ == "kernelflow.borel"
+
+
+COLD_START = """\
+import sys
+
+import kernelflow
+import kernelflow.cli
+
+doc, log = sys.argv[1:]
+argvs = (["validate", doc], ["re", doc], ["decompose", doc], ["score", log, "--mode", "empirical"])
+codes = [kernelflow.cli.main(argv) for argv in argvs]
+exact_layer = "numpy" in sys.modules
+from kernelflow import estimate_kl, gaussian_model
+
+print("exit codes", codes, "numpy loaded", exact_layer, "numpy" in sys.modules)
+"""
+
+
+def test_exact_layer_starts_without_numpy(tmp_path):
+    # a fresh interpreter: this one has long since imported numpy
+    doc, log = tmp_path / "coin.txt", tmp_path / "log.txt"
+    doc.write_text(COIN_DOC)
+    log.write_text(FORECAST_LOG)
+    src = str(Path(kernelflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(doc), str(log)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    # numpy absent after the exact-layer commands, present after the estimator import
+    assert proc.stdout.splitlines()[-1] == "exit codes [0, 0, 0, 0] numpy loaded False True"

@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 semantic failure, 2 parse failure, 3 numeric
 tolerance, 4 indeterminate arithmetic.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -271,6 +272,22 @@ class TestMorphismDocuments:
         assert serialize_morphism(parse_morphism(text)) == serialize_morphism(
             parse_morphism(COIN_DOC)
         )
+
+    def test_round_trip_keeps_a_declared_q(self):
+        doc = parse_morphism(COIN_DOC + "q H 1/3\nq T 2/3\n")
+        text = serialize_morphism(doc)
+        assert "q H 1/3\nq T 2/3\n" in text
+        assert parse_morphism(text).validate() == (
+            "pushforward mismatch at 'H': expected 1/3, got 1/2",
+            "pushforward mismatch at 'T': expected 2/3, got 1/2",
+        )
+        assert serialize_morphism(parse_morphism(text)) == text
+
+    def test_serialization_refuses_a_q_off_y(self):
+        doc = parse_morphism(COIN_DOC)
+        doc = dataclasses.replace(doc, q=uniform(doc.p.space))
+        with pytest.raises(DomainMismatchError, match="declared q lives on another space"):
+            serialize_morphism(doc)
 
     def test_declared_q_mismatch(self):
         doc = parse_morphism(COIN_DOC + "q H 1/3\nq T 2/3\n")
