@@ -38,12 +38,19 @@ with such crossings are not level n - 1's panels with crossings, it
 bisects every crossing.  The Monte Carlo sample is drawn and its ratio
 checked once per ladder and only re-binned at each level.  Every level
 is bit-identical to bin_masses run from scratch.
+
+A level's Gauss blocks and bisection blocks run concurrently on a thread
+pool.  Each block writes only its own slices of the level's arrays, and
+the per-block error terms are summed in block order once all are done, so
+every level is bit-identical whatever the pool's size.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,6 +82,12 @@ _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 _GL_NODES = np.concatenate([_GL16_X, _GL8_X])
 _GL_WEIGHTS = np.concatenate([_GL16_W, _GL8_W])
+# A level's Gauss blocks and bisection blocks run on one thread per CPU
+# this process may use; numpy releases the GIL inside its loops, which
+# take most of a block's time.  No thread starts before the first block.
+_POOL = ThreadPoolExecutor(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+)
 
 
 @dataclass(frozen=True)
@@ -84,15 +97,19 @@ class DensityModel:
     base_density and ratio must accept numpy arrays and return finite,
     nonnegative values, and q and p must both integrate to 1; bin_masses
     raises DomainMismatchError where they do not (Monte Carlo checks only
-    the ratio at its samples).  For quadrature on an unbounded support a
-    truncation interval capturing all but <= 1e-10 of both masses must be
-    supplied; each measure's leftover is folded into the cell of the ratio
-    at the truncation's upper end if the support extends past it, else at
-    its lower end, and reported on the level.
+    the ratio at its samples).  The quadrature calls them from several
+    threads at once, so they must not mutate shared state.  For quadrature
+    on an unbounded support a truncation interval capturing all but
+    <= 1e-10 of both masses must be supplied; each measure's leftover is
+    folded into the cell of the ratio at the truncation's upper end if the
+    support extends past it, else at its lower end, and reported on the
+    level.  breaks lists points where the densities may jump; the
+    quadrature's panels start at those inside the working interval.
 
     Known limit: the quadrature sees the ratio only at its panel samples
-    and Gauss nodes, so a spike narrower than their spacing goes unseen.
-    Masses and err_est are certified only for ratios those samples resolve.
+    and Gauss nodes, so a spike narrower than their spacing goes unseen
+    unless its ends are among the breaks.  Masses and err_est are
+    certified only for ratios those samples resolve.
     """
 
     name: str
@@ -101,6 +118,7 @@ class DensityModel:
     support: tuple[float, float]
     truncation: tuple[float, float] | None = None
     sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
+    breaks: tuple[float, ...] = ()
 
     def __post_init__(self):
         # dataclasses.replace runs this again, so a new truncation is checked
@@ -154,9 +172,8 @@ def cell_count(n: int) -> int:
 
 
 def _cell_of(r: np.ndarray, n: int) -> np.ndarray:
-    tail = n * (1 << n)
-    idx = np.floor(np.clip(r, 0.0, n) * (1 << n)).astype(np.int64)
-    return np.where(r >= n, tail, np.minimum(idx, tail))
+    # times 2^n is exact and the cast truncates, so r >= n lands on n 2^n
+    return (np.clip(r, 0.0, n) * (1 << n)).astype(np.int64)
 
 
 def _in_cell(r: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
@@ -287,6 +304,20 @@ def _require_room(live: int, n: int) -> None:
         raise IntegrationToleranceError(f"quadrature needs more than {cap} live intervals at level {n}")
 
 
+def _map_blocks(body, size: int, block: int) -> list:
+    """body(s) for each block start s in range(0, size, block), on the pool.
+
+    Each block must write only its own slices.  Results come back, and an
+    error is raised, in block order, as from one loop over the blocks.
+    numpy's error state is per thread, so each block sets _level's again.
+    """
+    def run(s):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return body(s)
+
+    return list(_POOL.map(run, range(0, size, block)))
+
+
 def _monotone_panels(model: DensityModel, lo: float, hi: float, n: int):
     """Panels tiling [lo, hi] on which, as far as samples show, the ratio
     is monotone or stays in one level-n cell, with the ratio at both ends.
@@ -299,7 +330,8 @@ def _monotone_panels(model: DensityModel, lo: float, hi: float, n: int):
     Other panels are halved, at most _MONOTONE_DEPTH times; the mass of a
     panel still unresolved then is charged to the returned error.
     """
-    edges = np.linspace(lo, hi, _PANELS + 1)
+    breaks = np.asarray(model.breaks, dtype=float)
+    edges = np.union1d(np.linspace(lo, hi, _PANELS + 1), breaks[(breaks > lo) & (breaks < hi)])
     a, b = edges[:-1], edges[1:]
     done = []
     err = 0.0
@@ -359,19 +391,24 @@ def _crossings(model: DensityModel, a, b, r_a, r_b, n: int, ladder: _Ladder):
     if ladder.n == n - 1 and np.array_equal(a[has], ladder.a) and np.array_equal(b[has], ladder.b):
         cuts[old], terms[old] = ladder.cuts, ladder.terms
         new = ~old
-    err = 0.0
-    for s in range(0, total, _CHUNK):
-        block, edge, fresh = panel[s:s + _CHUNK], j[s:s + _CHUNK], new[s:s + _CHUNK]
+
+    def block(s):
+        at, edge, fresh = panel[s:s + _CHUNK], j[s:s + _CHUNK], new[s:s + _CHUNK]
         right, term = cuts[s:s + _CHUNK], terms[s:s + _CHUNK]
         if fresh.any():
-            at = block[fresh]
+            at = at[fresh]
             left, r = _bisect(model, a[at], b[at], edge[fresh] * 2.0**-n, rising[at])
             ends = np.stack([left, r])
             q = _checked(model, ends, "base density", model.base_density(ends))
             p = _checked(model, ends, "ratio * base density", q * model.ratio(ends))
             term[fresh] = (r - left) * (q + p).max(axis=0)
             right[fresh] = r
-        err += float(np.sum(term))
+        return float(np.sum(term))
+
+    # summed in block order, as one loop would; sum() may compensate
+    err = 0.0
+    for block_err in _map_blocks(block, total, _CHUNK):
+        err += block_err
     keep = count > 0
     ladder.n, ladder.a, ladder.b = n, a[keep], b[keep]
     ladder.cuts, ladder.terms = cuts, terms
@@ -447,7 +484,8 @@ def _gauss(model: DensityModel, a, b, n: int):
     out = np.empty((3, a.size))
     cells = np.empty(a.size, dtype=np.int64)
     stray = np.empty(a.size, dtype=bool)
-    for s in range(0, a.size, _GAUSS_BLOCK):
+
+    def block(s):
         lo, hi = a[s:s + _GAUSS_BLOCK], b[s:s + _GAUSS_BLOCK]
         half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
         nodes = mid[:, None] + half[:, None] * _GL_NODES
@@ -463,6 +501,8 @@ def _gauss(model: DensityModel, a, b, n: int):
         cells[s:s + _GAUSS_BLOCK] = c
         stray[s:s + _GAUSS_BLOCK] = ~(_in_cell(r, c, n) & _in_cell(r_ends, c, n))
         out[:, s:s + _GAUSS_BLOCK] = q16, p16, np.abs(q16 - q8) + np.abs(p16 - p8)
+
+    _map_blocks(block, a.size, _GAUSS_BLOCK)
     q16, p16, diff = out
     return q16, p16, diff, cells, stray
 
@@ -680,6 +720,7 @@ def piecewise_constant_model(
         base_density=lambda x: lookup(x, q_vals),
         ratio=lambda x: lookup(x, r_vals),
         support=(float(edges[0]), float(top)),
+        breaks=tuple(edges[:-1].tolist()),
     )
 
 

@@ -11,6 +11,10 @@ densities numerically), which keeps the comparison honest.
 import dataclasses
 import math
 import re
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -134,6 +138,18 @@ class TestPartitionGeometry:
             ]
             assert fine[0][0] == lo
             assert fine[-1][1] == hi
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_cell_of_equals_floor_and_cap(self, n):
+        # the cell as floor(clip(r, 0, n) 2^n) capped at the tail, with r >= n
+        # sent to the tail, against the one clip and truncating cast
+        edge = [-INF, -1.0, 0.0, np.nextafter(n, 0), n, INF, 1e300]
+        r = np.concatenate([edge, np.random.default_rng(n).exponential(n / 2, 100_000)])
+        tail = n * (1 << n)
+        floor = np.floor(np.clip(r, 0.0, n) * (1 << n)).astype(np.int64)
+        want = np.where(r >= n, tail, np.minimum(floor, tail))
+        assert np.array_equal(borel._cell_of(r, n), want)
+        assert borel._cell_of(r[:7], n).tolist() == [0, 0, 0, tail - 1, tail, tail, tail]
 
 
 class TestBinMasses:
@@ -411,6 +427,28 @@ class TestRatioShapes:
             assert np.max(np.abs(level.q_mass - q_ref)) < 1e-12
             assert level.occupied() == 2
 
+    @pytest.mark.parametrize("width, peak", [(1e-5, 50.0), (1e-7, 1e3), (1e-9, 1e5), (1e-9, 1e3)])
+    def test_piece_narrower_than_the_panel_samples(self, width, peak):
+        # q = 1 on [0, 1] and a ratio piece far narrower than the 6.1e-5
+        # between panel samples.  The model's edges are its breaks, so panels
+        # start at the piece.  Without them the first three ended in "ratio *
+        # base density integrates to ...", and the last converged to 0 with
+        # err_est 0
+        at = 0.50003333
+        rest = (1 - width * peak) / (1 - width)
+        model = piecewise_constant_model(
+            [(0.0, at, 1.0, rest), (at, at + width, 1.0, peak), (at + width, 1.0, 1.0, rest)]
+        )
+        want = width * peak * math.log(peak) + (1 - width) * rest * math.log(rest)
+        trace = estimate_kl(model, 6, 1e-9, QUAD)
+        assert trace.converged
+        assert trace.final == pytest.approx(want, rel=0.0, abs=trace.levels[-1][3])
+
+    def test_truncation_keeps_the_breaks(self):
+        model = piecewise_constant_model([(0.0, 0.5, 1.0, 1.5), (0.5, 1.0, 1.0, 0.5)])
+        assert model.breaks == (0.0, 0.5, 1.0)
+        assert dataclasses.replace(model, truncation=(-1.0, 2.0)).breaks == model.breaks
+
 
 class TestDiscretizedKl:
     def test_equal_measures_zero(self):
@@ -550,11 +588,15 @@ class TestEstimateKl:
 
 
 def counted(model):
-    """The model with its ratio counting evaluations, and the count."""
+    """The model with its ratio counting evaluations, and the count.  The
+    pool's workers call the ratio at once, so the count is taken under a
+    lock: an unlocked += can lose an update."""
     calls = [0]
+    lock = threading.Lock()
 
     def ratio(x, inner=model.ratio):
-        calls[0] += np.size(x)
+        with lock:
+            calls[0] += np.size(x)
         return inner(x)
 
     return dataclasses.replace(model, ratio=ratio), calls
@@ -624,6 +666,87 @@ class TestLadderReuse:
             if n in ladder_calls:
                 assert ladder_calls[n] == calls[0]
         assert trace.levels == tuple(rows)
+
+
+@pytest.fixture
+def pool_of(monkeypatch):
+    """Gives borel a pool of the given number of workers in place of its own."""
+    pools = []
+
+    def swap(workers):
+        pools.append(ThreadPoolExecutor(workers))
+        monkeypatch.setattr(borel, "_POOL", pools[-1])
+
+    yield swap
+    for pool in pools:
+        pool.shutdown()
+
+
+class TestPool:
+    """A level's Gauss and bisection blocks run on borel's thread pool, and
+    neither the pool's size nor the order in which blocks finish shows."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_pool_size_moves_no_bit(self, monkeypatch, pool_of, workers):
+        def run():
+            model, calls = counted(gauss01_11())
+            rows = estimate_kl(model, 6, 1e-12, QUAD).levels
+            return rows, bin_masses(model, 6, QUAD), calls[0]
+
+        rows, level, calls = run()
+        monkeypatch.setattr(borel, "_GAUSS_BLOCK", 7)
+        monkeypatch.setattr(borel, "_CHUNK", 7)
+        pool_of(workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # workers switch often, so a lost count would show
+        try:
+            got_rows, got_level, got_calls = run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [row[:3] for row in got_rows] == [row[:3] for row in rows]
+        for got, want in zip(got_rows, rows):
+            # as in test_blocked_bisection_bit_identical, only the bisection
+            # blocks' err_est sums may move
+            assert got[3] == pytest.approx(want[3], rel=1e-12, abs=0.0)
+        assert np.array_equal(got_level.p_mass, level.p_mass)
+        assert np.array_equal(got_level.q_mass, level.q_mass)
+        assert got_level.err_est == pytest.approx(level.err_est, rel=1e-12, abs=0.0)
+        assert got_calls == calls
+
+    def test_workers_keep_floating_point_warnings_off(self, monkeypatch):
+        # a valid ratio that overflows inside: numpy's error state is per
+        # thread, and the suite turns an escaping RuntimeWarning into an error
+        monkeypatch.setattr(borel, "_GAUSS_BLOCK", 7)
+        monkeypatch.setattr(borel, "_CHUNK", 7)
+        model = DensityModel(
+            "overflow-inside", np.ones_like,
+            lambda x: 2.0 * x + 0.0 * np.minimum(np.exp(800.0 * x), 1.0), (0.0, 1.0),
+        )
+        assert len(estimate_kl(model, 3, 1e-12, QUAD).levels) == 3
+
+    def test_errors_come_in_block_order(self, monkeypatch, pool_of):
+        # q is negative on two stretches in different Gauss blocks.  The
+        # first stretch's blocks are slow, so with three workers the second
+        # fails first; the error must still be the one a loop meets first
+        first, second = (0.3, 0.31), (0.7, 0.71)
+
+        def base_density(x):
+            bad = [(lo < x) & (x < hi) for lo, hi in (first, second)]
+            if bad[0].any():
+                time.sleep(0.05)
+            return np.where(bad[0] | bad[1], -1.0, 1.0)
+
+        model = DensityModel("two-bad-stretches", base_density, np.ones_like, (0.0, 1.0))
+        monkeypatch.setattr(borel, "_GAUSS_BLOCK", 64)
+        messages = []
+        for workers in (1, 3):
+            pool_of(workers)
+            with pytest.raises(DomainMismatchError) as info:
+                bin_masses(model, 1, QUAD)
+            messages.append(str(info.value))
+        assert messages[1] == messages[0]
+        x = float(re.search(r"base density is -1.0 at x = (\S+),", messages[0])[1])
+        assert first[0] < x < first[1]
 
 
 class TestAgreementCheck:

@@ -721,6 +721,23 @@ class TestEstimateKlCommand:
         assert (code, err) == (0, "")
         assert out.splitlines()[-2:] == ["final = 0", "converged: yes"]
 
+    def test_piecewise_narrow_piece(self, capsys, tmp_path):
+        # a piece of width 1e-5 fits between two panel samples; the panels
+        # used to miss it, and p seemed to integrate to 0.99951: exit 1
+        doc = tmp_path / "narrow.txt"
+        doc.write_text(
+            "piecewise v1\npiece 0 0.50003333 1 0.99951\n"
+            "piece 0.50003333 0.50004333 1 50\npiece 0.50004333 1 1 0.99951\n"
+        )
+        code, out, err = run(capsys, "estimate-kl", str(doc))
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert rows[-1] == "converged: yes"
+        final, err_est = float(rows[-2].split("= ")[1]), float(rows[-3].split(", ")[3])
+        want = (1 - 1e-5) * 0.99951 * math.log(0.99951) + 1e-5 * 50 * math.log(50)
+        # final is printed to 9 significant digits
+        assert final == pytest.approx(want, rel=0.0, abs=err_est + 5e-12)
+
     def test_unconverged_is_exit_3(self, capsys):
         code, out, _ = run(
             capsys, "estimate-kl", "gaussian", "0", "1", "1", "1",
