@@ -11,33 +11,39 @@ divergence as n grows.
 Cell masses are computed by integrating indicator-weighted densities over
 x-space (level sets need not be intervals, so nothing is inverted).  The
 deterministic integrator splits x-space into panels on which the sampled
-ratio is monotone, locates every crossing of a cell edge inside them by
-bisection on the ratio, and integrates q and q * ratio between consecutive
-crossings with two Gauss-Legendre orders, halving an interval only while
-the orders disagree beyond a width-proportional budget or the ratio at
-its nodes or ends leaves its cell.  Before the level is returned, the
-integrals of q and p are checked against 1, so a model that does not
-describe two probability measures fails at level 1.  The Monte Carlo
-integrator bins seeded samples from q.  Both are deterministic given
-their IntegratorSpec.  A level with more than _MAX_CELLS cells is refused
-before anything is allocated.
+ratio is monotone and locates every crossing of a cell edge inside them:
+starting from the panel's ends, three steps each try a narrow bracket
+around the point where the ratio, interpolated linearly between the
+bracket's ends, meets the edge, and keep it only where the ratio at its
+ends shows the crossing inside; halving then brings the bracket's ends
+to adjacent floats.  It integrates q and q * ratio between consecutive
+crossings with the 7-point Gauss-Kronrod rule, whose error estimate is
+its difference from the 3-point Gauss rule on three of its nodes,
+halving an interval only while that difference exceeds a
+width-proportional budget or the ratio at its nodes or ends leaves its
+cell.  Before the level is returned, the integrals of q and p are
+checked against 1, so a model that does not describe two probability
+measures fails at level 1.  The Monte Carlo integrator bins seeded
+samples from q.  Both are deterministic given their IntegratorSpec.  A
+level with more than _MAX_CELLS cells is refused before anything is
+allocated.
 
 The refinement ladder (estimate_kl) carries work from level n - 1 to
 level n.  Level n - 1's cell edge h 2^-(n-1) is level n's edge 2h 2^-n,
-the same float, and bisecting a crossing depends only on the panel and
-the edge.  A panel is accepted as monotone at every level alike, and one
-that stays in one level-n cell stays in one level-(n - 1) cell, so, the
-panel lists being built by order-preserving filters, every level-(n - 1)
-panel with a crossing is a level-n panel, in the same relative order,
-and any other level-n panel lies, as far as samples show, inside one
-level-(n - 1) cell.  Level n - 1's crossings are therefore, in order,
-level n's crossings of even edges 2h <= (n - 1) 2^n (the even edges
-above lay inside level n - 1's tail cell).  Level n copies their right
-bracket ends and error terms and bisects only the rest; if its panels
-with such crossings are not level n - 1's panels with crossings, it
-bisects every crossing.  The Monte Carlo sample is drawn and its ratio
-checked once per ladder and only re-binned at each level.  Every level
-is bit-identical to bin_masses run from scratch.
+the same float, and bracketing a crossing depends only on the panel, the
+ratio at its ends and the edge.  A panel is accepted as monotone at every
+level alike, and one that stays in one level-n cell stays in one
+level-(n - 1) cell, so, the panel lists being built by order-preserving
+filters, every level-(n - 1) panel with a crossing is a level-n panel,
+in the same relative order, and any other level-n panel lies, as far as
+samples show, inside one level-(n - 1) cell.  Level n - 1's crossings are
+therefore, in order, level n's crossings of even edges 2h <= (n - 1) 2^n
+(the even edges above lay inside level n - 1's tail cell).  Level n
+copies their right bracket ends and error terms and brackets only the
+rest; if its panels with such crossings are not level n - 1's panels
+with crossings, it brackets every crossing.  The Monte Carlo sample is
+drawn and its ratio checked once per ladder and only re-binned at each
+level.  Every level is bit-identical to bin_masses run from scratch.
 
 A level's Gauss blocks and bisection blocks run concurrently on a thread
 pool.  Each block writes only its own slices of the level's arrays, and
@@ -73,15 +79,31 @@ _PANELS = 4096  # initial panels over the working interval
 # panel beyond each end, so a turn just past an end sample is seen
 _SAMPLES = np.linspace(-0.25, 1.25, 7)
 _MONOTONE_DEPTH = 40  # halvings of a panel whose samples are not monotone
+# before halving, each crossing's bracket is narrowed three times around
+# the guess that interpolates the ratio linearly between its ends, to this
+# share of its width on each side of the guess
+_NARROW = (2e-3, 1e-5, 1e-6)
 _BISECT_ROUNDS = 64  # bracket halvings per cell-edge crossing
 _MAX_HALVINGS = 48  # halvings of an interval between crossings
 _LIVE_PER_CELL = 4  # live panels, crossings or intervals per cell and panel
-_CHUNK = 1 << 15  # crossings bisected per block
+_CHUNK = 1 << 15  # crossings bracketed per block
 _GAUSS_BLOCK = 1 << 12  # intervals per block of Gauss nodes, sized for cache
-_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
-_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
-_GL_NODES = np.concatenate([_GL16_X, _GL8_X])
-_GL_WEIGHTS = np.concatenate([_GL16_W, _GL8_W])
+# The 7-point Gauss-Kronrod rule on [-1, 1] (Kronrod 1965; QUADPACK,
+# Piessens et al. 1983), exact to degree 11, and the 3-point Gauss-Legendre
+# rule on its odd-numbered nodes, exact to degree 5.  The midpoint is node 3.
+_K7_X = np.array([
+    -0.960491268708020283423507092629080, -0.774596669241483377035853079956480,
+    -0.434243749346802558002071502844628, 0.0,
+    0.434243749346802558002071502844628, 0.774596669241483377035853079956480,
+    0.960491268708020283423507092629080,
+])
+_K7_W = np.array([
+    0.104656226026467265193823857192073, 0.268488089868333440728569280666710,
+    0.401397414775962222905051818618432, 0.450916538658474142345110087045571,
+    0.401397414775962222905051818618432, 0.268488089868333440728569280666710,
+    0.104656226026467265193823857192073,
+])
+_G3_W = np.array([5 / 9, 8 / 9, 5 / 9])
 # A level's Gauss blocks and bisection blocks run on one thread per CPU
 # this process may use; numpy releases the GIL inside its loops, which
 # take most of a block's time.  No thread starts before the first block.
@@ -107,9 +129,11 @@ class DensityModel:
     quadrature's panels start at those inside the working interval.
 
     Known limit: the quadrature sees the ratio only at its panel samples
-    and Gauss nodes, so a spike narrower than their spacing goes unseen
-    unless its ends are among the breaks.  Masses and err_est are
-    certified only for ratios those samples resolve.
+    and, in each interval between crossings, at its 7 Gauss-Kronrod nodes,
+    its lower end and the float below its upper end, so a spike narrower
+    than their spacing goes unseen unless its ends are among the breaks.
+    Masses and err_est are certified only for ratios those samples
+    resolve.
     """
 
     name: str
@@ -368,11 +392,12 @@ def _crossings(model: DensityModel, a, b, r_a, r_b, n: int, ladder: _Ladder):
 
     The edges crossed in a monotone panel are j 2^-n for j above the lower
     end cell up to the upper one (j = n 2^n is the tail edge n).  Each is
-    bracketed by bisection on the ratio alone until the bracket ends are
-    adjacent floats, _CHUNK crossings at a time to bound memory.  Returns
-    the right bracket ends and, as error, each bracket's width times the
-    larger q + p at its ends, summed per block.  The crossings the ladder
-    kept from level n - 1 are copied, and this level's are kept.
+    bracketed by _bisect, from its panel's ends and the ratio there, until
+    the bracket ends are adjacent floats, _CHUNK crossings at a time to
+    bound memory.  Returns the right bracket ends and, as error, each
+    bracket's width times the larger q + p at its ends, summed per block.
+    The crossings the ladder kept from level n - 1 are copied, and this
+    level's are kept.
     """
     c_a, c_b = _cell_of(r_a, n), _cell_of(r_b, n)
     rising = c_b > c_a
@@ -397,7 +422,7 @@ def _crossings(model: DensityModel, a, b, r_a, r_b, n: int, ladder: _Ladder):
         right, term = cuts[s:s + _CHUNK], terms[s:s + _CHUNK]
         if fresh.any():
             at = at[fresh]
-            left, r = _bisect(model, a[at], b[at], edge[fresh] * 2.0**-n, rising[at])
+            left, r = _bisect(model, a[at], b[at], r_a[at], r_b[at], edge[fresh] * 2.0**-n, rising[at])
             ends = np.stack([left, r])
             q = _checked(model, ends, "base density", model.base_density(ends))
             p = _checked(model, ends, "ratio * base density", q * model.ratio(ends))
@@ -415,12 +440,35 @@ def _crossings(model: DensityModel, a, b, r_a, r_b, n: int, ladder: _Ladder):
     return cuts, err
 
 
-def _bisect(model: DensityModel, left, right, edge, rising):
+def _bisect(model: DensityModel, left, right, r_left, r_right, edge, rising):
     """The brackets [left, right] of the points where the ratio crosses
-    each edge, rising or falling, halved until their ends are adjacent
-    floats (at most _BISECT_ROUNDS times).  Overwrites left and right."""
+    each edge, rising or falling, given the ratio r_left and r_right at
+    their ends, narrowed until their ends are adjacent floats.  Overwrites
+    left and right.
+
+    Each of _NARROW's steps guesses the crossing by interpolating the ratio
+    linearly between the bracket's ends (the middle where that is not a
+    number) and evaluates the ratio at both ends of a candidate bracket,
+    the step's share of the width on each side of the guess and clipped to
+    the bracket.  The candidate replaces the bracket only where the ratio
+    at its ends shows the crossing inside it, so a guess that misses, at a
+    jump say, leaves the bracket as it was.  Halving follows, at most
+    _BISECT_ROUNDS times.  The result depends only on the bracket, the
+    ratio at its ends and the edge.
+    """
+    lo, hi, r_lo, r_hi = left, right, r_left, r_right
+    for share in _NARROW:
+        t = (edge - r_lo) / (r_hi - r_lo)
+        t = np.where(np.isfinite(t), np.clip(t, 0.0, 1.0), 0.5)
+        guess = lo + t * (hi - lo)
+        d = share * (hi - lo)
+        ends = np.stack([np.maximum(guess - d, lo), np.minimum(guess + d, hi)])
+        r = _checked(model, ends, "ratio", model.ratio(ends))
+        past = (r >= edge) == rising
+        keep = ((ends[0] == lo) | ~past[0]) & ((ends[1] == hi) | past[1])
+        lo, r_lo = np.where(keep, ends[0], lo), np.where(keep, r[0], r_lo)
+        hi, r_hi = np.where(keep, ends[1], hi), np.where(keep, r[1], r_hi)
     live = np.arange(left.size)
-    lo, hi = left, right
     for _ in range(_BISECT_ROUNDS):
         mid = 0.5 * (lo + hi)
         moving = (mid > lo) & (mid < hi)
@@ -442,12 +490,12 @@ def _bisect(model: DensityModel, left, right, edge, rising):
 
 def _integrate(model: DensityModel, breaks, n: int, q_mass, p_mass) -> float:
     """Add the q- and p-mass of each interval between consecutive breaks to
-    its cell and return the error: the summed |G16 - G8|, plus the mass of
+    its cell and return the error: the summed |K7 - G3|, plus the mass of
     every interval that still straddles a cell edge after the last halving.
 
     An interval's cell is read off the ratio at its midpoint.  It is halved,
-    at most _MAX_HALVINGS times, while its two Gauss-Legendre orders differ
-    by more than its width's share of _TOL, or while the ratio at one of its
+    at most _MAX_HALVINGS times, while its Kronrod and Gauss sums differ by
+    more than its width's share of _TOL, or while the ratio at one of its
     nodes or ends lies in another cell (a crossing the panel samples
     missed).
     """
@@ -456,13 +504,13 @@ def _integrate(model: DensityModel, breaks, n: int, q_mass, p_mass) -> float:
     err = 0.0
     for depth in range(_MAX_HALVINGS + 1):
         _require_room(a.size, n)
-        q16, p16, diff, cells, stray = _gauss(model, a, b, n)
+        q7, p7, diff, cells, stray = _gauss(model, a, b, n)
         done = (diff <= rel_tol * (b - a)) & ~stray
         if depth == _MAX_HALVINGS:
-            err += float(np.sum((q16 + p16)[stray]))
+            err += float(np.sum((q7 + p7)[stray]))
             done[:] = True
-        q_mass += np.bincount(cells[done], weights=q16[done], minlength=q_mass.size)
-        p_mass += np.bincount(cells[done], weights=p16[done], minlength=p_mass.size)
+        q_mass += np.bincount(cells[done], weights=q7[done], minlength=q_mass.size)
+        p_mass += np.bincount(cells[done], weights=p7[done], minlength=p_mass.size)
         err += float(np.sum(diff[done]))
         if done.all():
             break
@@ -473,13 +521,17 @@ def _integrate(model: DensityModel, breaks, n: int, q_mass, p_mass) -> float:
 
 
 def _gauss(model: DensityModel, a, b, n: int):
-    """16-node Gauss-Legendre q- and p-integrals over each [a, b], |G16 - G8|
+    """7-node Gauss-Kronrod q- and p-integrals over each [a, b], |K7 - G3|
     of q plus that of p, the level-n cell of the ratio at the midpoint, and
     whether the ratio at a node, at a or just inside b lies in another cell.
 
-    A break at a located crossing is the first float past it, so the float
-    before b is still on the interval's side.  The model is called on
-    _GAUSS_BLOCK intervals at a time, so each node array stays in cache.
+    G3's nodes are among K7's, so the 7 nodes give both sums and q, the
+    ratio and their product are evaluated there only; the midpoint is a
+    node too.  A break at a located crossing is the first float past it, so
+    the float before b is still on the interval's side.  The model is
+    called on _GAUSS_BLOCK intervals at a time, so each node array stays in
+    cache.  The sums are elementwise products summed along each row, so an
+    interval's sums do not depend on the block's shape.
     """
     out = np.empty((3, a.size))
     cells = np.empty(a.size, dtype=np.int64)
@@ -488,37 +540,37 @@ def _gauss(model: DensityModel, a, b, n: int):
     def block(s):
         lo, hi = a[s:s + _GAUSS_BLOCK], b[s:s + _GAUSS_BLOCK]
         half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
-        nodes = mid[:, None] + half[:, None] * _GL_NODES
-        ends = np.column_stack([lo, np.nextafter(hi, lo), mid])
+        nodes = mid[:, None] + half[:, None] * _K7_X
+        ends = np.column_stack([lo, np.nextafter(hi, lo)])
         r = _checked(model, nodes, "ratio", model.ratio(nodes))
         r_ends = _checked(model, ends, "ratio", model.ratio(ends))
         q = _checked(model, nodes, "base density", model.base_density(nodes))
         p = _checked(model, nodes, "ratio * base density", q * r)
-        q, p = q * _GL_WEIGHTS, p * _GL_WEIGHTS
-        q16, p16 = half * q[:, :16].sum(axis=1), half * p[:, :16].sum(axis=1)
-        q8, p8 = half * q[:, 16:].sum(axis=1), half * p[:, 16:].sum(axis=1)
-        c = _cell_of(r_ends[:, -1], n)
+        q7, p7 = half * (q * _K7_W).sum(axis=1), half * (p * _K7_W).sum(axis=1)
+        q3, p3 = half * (q[:, 1::2] * _G3_W).sum(axis=1), half * (p[:, 1::2] * _G3_W).sum(axis=1)
+        c = _cell_of(r[:, 3], n)
         cells[s:s + _GAUSS_BLOCK] = c
         stray[s:s + _GAUSS_BLOCK] = ~(_in_cell(r, c, n) & _in_cell(r_ends, c, n))
-        out[:, s:s + _GAUSS_BLOCK] = q16, p16, np.abs(q16 - q8) + np.abs(p16 - p8)
+        out[:, s:s + _GAUSS_BLOCK] = q7, p7, np.abs(q7 - q3) + np.abs(p7 - p3)
 
     _map_blocks(block, a.size, _GAUSS_BLOCK)
-    q16, p16, diff = out
-    return q16, p16, diff, cells, stray
+    q7, p7, diff = out
+    return q7, p7, diff, cells, stray
 
 
 def _checked(model: DensityModel, xs, what: str, values):
     """values, the model's output at xs, after checking that they are finite
-    and nonnegative."""
-    ok = np.isfinite(values) & (values >= 0)
-    if not ok.all():
-        i = int(np.flatnonzero(~ok)[0])
-        x = float(np.broadcast_to(xs, values.shape).flat[i])
-        raise DomainMismatchError(
-            f"model {model.name!r}: {what} is {values.flat[i]} at x = {x:.9g}, "
-            "not a finite nonnegative number"
-        )
-    return values
+    and nonnegative.  A NaN fails the min and max tests too, so the mask
+    that finds the first bad value is built only when one is there."""
+    values = np.asarray(values)
+    if values.size == 0 or (values.min() >= 0 and values.max() < INF):
+        return values
+    i = int(np.flatnonzero(~(np.isfinite(values) & (values >= 0)))[0])
+    x = float(np.broadcast_to(xs, values.shape).flat[i])
+    raise DomainMismatchError(
+        f"model {model.name!r}: {what} is {values.flat[i]} at x = {x:.9g}, "
+        "not a finite nonnegative number"
+    )
 
 
 def discretized_kl(level: PartitionLevel) -> float:
@@ -532,7 +584,9 @@ def discretized_kl(level: PartitionLevel) -> float:
     if np.any(occupied & (q <= 0)):
         return INF
     terms = p[occupied] * np.log(p[occupied] / q[occupied])
-    return max(0.0, float(math.fsum(terms)))
+    # fsum is correctly rounded, so reading a list instead of the array
+    # changes no bit and saves a numpy scalar per term
+    return max(0.0, math.fsum(terms.tolist()))
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,40 @@ def alternating_pieces():
     )
 
 
+def sqrt_model():
+    """q = 1 on [0, 1] and ratio 1.5 sqrt(x), whose slope is infinite at 0."""
+    return DensityModel("sqrt", np.ones_like, lambda x: 1.5 * np.sqrt(x), (0.0, 1.0))
+
+
+def jump_inside_a_panel():
+    """q = 3/2 on [0, 1/2) and 1/2 on [1/2, 1], and a ratio that jumps from
+    3/4 to 5/4 at 1/3, inside a panel and with no declared breaks.  The two
+    values lie in different cells at every level, so every level's discrete
+    KL is the KL, 3/8 ln 3/4 + 5/8 ln 5/4."""
+    return DensityModel(
+        "jump", lambda x: np.where(x < 0.5, 1.5, 0.5), lambda x: np.where(x < 1 / 3, 0.75, 1.25), (0.0, 1.0)
+    )
+
+
+def fresh_crossings(monkeypatch, model, n, bisect=borel._bisect):
+    """bin_masses(model, n) and its crossings: each bracket's ends, its edge
+    and direction, and the ratio evaluations the bracketing made.  bisect
+    is borel's own, bound when this module loads, so calls may nest."""
+    found, evals = [], []
+
+    def spy(model, left, right, r_left, r_right, edge, rising):
+        model, calls = counted(model)
+        left, right = bisect(model, left, right, r_left, r_right, edge, rising)
+        found.append((left, right, edge, rising))
+        evals.append(calls[0])
+        return left, right
+
+    monkeypatch.setattr(borel, "_bisect", spy)
+    level = bin_masses(model, n, QUAD)
+    left, right, edge, rising = (np.concatenate(col) for col in zip(*found))
+    return level, left, right, edge, rising, sum(evals)
+
+
 def gaussian_cell_oracle(n):
     """Exact cell masses for N(0,1) vs N(1,1): ratio e^(1/2 - x) is
     monotone, so each ratio cell is an x-interval with CDF-exact masses."""
@@ -450,6 +484,79 @@ class TestRatioShapes:
         assert dataclasses.replace(model, truncation=(-1.0, 2.0)).breaks == model.breaks
 
 
+class TestKronrodRule:
+    """The 7-point Gauss-Kronrod rule and the 3-point Gauss rule on its
+    nodes, against the integrals of x^m over [-1, 1]."""
+
+    def test_nodes_and_weights_are_symmetric(self):
+        assert np.array_equal(borel._K7_X, -borel._K7_X[::-1])
+        assert np.array_equal(borel._K7_W, borel._K7_W[::-1])
+        assert borel._K7_X[3] == 0.0
+        assert borel._K7_X[5] ** 2 == pytest.approx(3 / 5, rel=1e-15)
+
+    @pytest.mark.parametrize("m", range(12))
+    def test_exact_on_monomials(self, m):
+        want = 2 / (m + 1) if m % 2 == 0 else 0.0
+        assert np.sum(borel._K7_W * borel._K7_X**m) == pytest.approx(want, rel=1e-15, abs=1e-16)
+        if m <= 5:
+            g3 = np.sum(borel._G3_W * borel._K7_X[1::2] ** m)
+            assert g3 == pytest.approx(want, rel=1e-15, abs=1e-16)
+
+    def test_g3_is_not_exact_beyond_degree_5(self):
+        # so |K7 - G3| sees a sixth-degree term
+        assert np.sum(borel._G3_W * borel._K7_X[1::2] ** 6) == pytest.approx(6 / 25)
+
+
+class TestCrossings:
+    """Each crossing of a cell edge is narrowed around interpolated guesses,
+    then halved, to a pair of adjacent floats on either side of its edge."""
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("model", [gauss01_11(), expo1_2(), sqrt_model(), jump_inside_a_panel()],
+                             ids=["gauss", "expo", "sqrt", "jump"])
+    def test_brackets_are_adjacent_floats_around_their_edge(self, monkeypatch, model, n):
+        _, left, right, edge, rising, _ = fresh_crossings(monkeypatch, model, n)
+        assert left.size > 0
+        assert np.array_equal(right, np.nextafter(left, INF))
+        r_left, r_right = model.ratio(left), model.ratio(right)
+        up = (r_left < edge) & (r_right >= edge)
+        down = (r_left >= edge) & (r_right < edge)
+        assert np.where(rising, up, down).all()
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_a_jump_falls_back_to_halving(self, monkeypatch, n):
+        # the jump lies at 1/3 of its panel's width and every guess at
+        # levels 4 and 8 at a multiple of 1/128 of it, at least 0.0026 of
+        # the width away, so on one side of the jump: every candidate is
+        # refused, and the brackets are those of halving alone, after two
+        # more evaluations per step and crossing
+        model = jump_inside_a_panel()
+        level, *narrowed, evals = fresh_crossings(monkeypatch, model, n)
+        steps = len(borel._NARROW)
+        monkeypatch.setattr(borel, "_NARROW", ())
+        _, *halved, halved_evals = fresh_crossings(monkeypatch, model, n)
+        for got, want in zip(narrowed, halved):
+            assert np.array_equal(got, want)
+        assert evals == halved_evals + 2 * steps * narrowed[0].size
+        want = 0.375 * math.log(0.75) + 0.625 * math.log(1.25)
+        assert discretized_kl(level) == pytest.approx(want, rel=0.0, abs=level.err_est)
+
+    @pytest.mark.parametrize("model", [gauss01_11(), expo1_2()], ids=["gauss", "expo"])
+    def test_smooth_ratios_are_narrowed(self, monkeypatch, model):
+        # the guesses hit: under a third of the evaluations of halving alone
+        evals = fresh_crossings(monkeypatch, model, 8)[-1]
+        monkeypatch.setattr(borel, "_NARROW", ())
+        assert evals < fresh_crossings(monkeypatch, model, 8)[-1] / 3
+
+    def test_a_level_makes_a_third_of_the_evaluations(self):
+        # 900,423 ratio evaluations when each crossing was halved from its
+        # panel's ends and each interval took 24 Gauss nodes and 3 end
+        # points; 318,954 with the narrowing steps and K7
+        model, calls = counted(gauss01_11())
+        bin_masses(model, 10, QUAD)
+        assert calls[0] <= 0.45 * 900_423
+
+
 class TestDiscretizedKl:
     def test_equal_measures_zero(self):
         level = bin_masses(uniform_pair_model(0, 1, 0, 1), 3, QUAD)
@@ -606,23 +713,28 @@ class TestLadderReuse:
     """estimate_kl reuses level n - 1's crossings and Monte Carlo sample;
     its rows must equal those of fresh bin_masses calls, bit for bit."""
 
-    @pytest.mark.parametrize("model, n_max, spec, share", [
-        # shares: measured 0.7232, 0.7726, 0.9036, 0.9572 for gauss, expo,
-        # peak and sqrt, so a reuse that stops firing fails
-        (gauss01_11(), 14, QUAD, 0.75),
-        (expo1_2(), 12, QUAD, 0.80),
+    @pytest.mark.parametrize("model, n_max, spec, share, ceiling", [
+        # shares: measured 0.7255, 0.8343, 0.9378, 0.9508 for gauss, expo,
+        # peak and sqrt, so a reuse that stops firing (share 1.0) fails.
+        # Ceilings: measured 8,511,451, 2,049,589, 782,995, 198,626,
+        # 197,125 and 725,255 ratio evaluations, against 24,233,956,
+        # 6,198,408, 1,809,887, 420,604, 418,495 and 1,553,054 when each
+        # crossing was halved from its panel's ends and each interval took
+        # 24 Gauss nodes; a return to either fails some of them
+        (gauss01_11(), 14, QUAD, 0.75, 9_000_000),
+        (expo1_2(), 12, QUAD, 0.86, 2_200_000),
         # the peak's panels are split differently at each level
         (gaussian_model(-16 + 2090.95 / 128, 1, -16 + 2090.95 / 128, 2 + 2.0**-24,
-                        truncation=(-16.0, 16.0)), 10, QUAD, 0.93),
-        (uniform_pair_model(0.25, 0.75, 0, 1), 8, QUAD, 1.0),
-        (piecewise_constant_model([(0.0, 0.5, 1.0, 1.5), (0.5, 1.0, 1.0, 0.5)]), 8, QUAD, 1.0),
+                        truncation=(-16.0, 16.0)), 10, QUAD, 0.96, 830_000),
+        (uniform_pair_model(0.25, 0.75, 0, 1), 8, QUAD, 1.0, 210_000),
+        (piecewise_constant_model([(0.0, 0.5, 1.0, 1.5), (0.5, 1.0, 1.0, 0.5)]), 8, QUAD, 1.0, 210_000),
         # slope infinite at 0
-        (DensityModel("sqrt", np.ones_like, lambda x: 1.5 * np.sqrt(x), (0.0, 1.0)), 10, QUAD, 0.98),
+        (sqrt_model(), 10, QUAD, 0.98, 770_000),
         # one sample for the whole ladder
-        (expo1_2(), 10, IntegratorSpec(kind="mc", seed=0), 0.2),
-        (expo1_2(), 10, IntegratorSpec(kind="mc", seed=7), 0.2),
+        (expo1_2(), 10, IntegratorSpec(kind="mc", seed=0), 0.2, borel._MC_SAMPLES),
+        (expo1_2(), 10, IntegratorSpec(kind="mc", seed=7), 0.2, borel._MC_SAMPLES),
     ], ids=["gauss", "expo", "peak", "uniform-pair", "piecewise", "sqrt", "mc-0", "mc-7"])
-    def test_ladder_equals_fresh_levels(self, model, n_max, spec, share):
+    def test_ladder_equals_fresh_levels(self, model, n_max, spec, share, ceiling):
         model, calls = counted(model)
         trace = estimate_kl(model, n_max, 1e-12, spec)
         ladder_calls, calls[0] = calls[0], 0
@@ -632,6 +744,7 @@ class TestLadderReuse:
             rows.append((n, discretized_kl(level), level.occupied(), level.err_est))
         assert trace.levels == tuple(rows)
         assert ladder_calls <= share * calls[0]
+        assert ladder_calls <= ceiling
 
     def test_changed_panels_are_bisected_afresh(self, monkeypatch):
         # level 4 halves a panel with level-3 crossings, so its panels with
