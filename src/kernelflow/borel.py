@@ -87,7 +87,7 @@ _BISECT_ROUNDS = 64  # bracket halvings per cell-edge crossing
 _MAX_HALVINGS = 48  # halvings of an interval between crossings
 _LIVE_PER_CELL = 4  # live panels, crossings or intervals per cell and panel
 _CHUNK = 1 << 15  # crossings bracketed per block
-_GAUSS_BLOCK = 1 << 12  # intervals per block of Gauss nodes, sized for cache
+_GAUSS_BLOCK = 1 << 14  # intervals per block of Gauss nodes
 # The 7-point Gauss-Kronrod rule on [-1, 1] (Kronrod 1965; QUADPACK,
 # Piessens et al. 1983), exact to degree 11, and the 3-point Gauss-Legendre
 # rule on its odd-numbered nodes, exact to degree 5.  The midpoint is node 3.
@@ -116,16 +116,18 @@ _POOL = ThreadPoolExecutor(
 class DensityModel:
     """p and q on an interval, given as q's density and the ratio dp/dq.
 
-    base_density and ratio must accept numpy arrays and return finite,
-    nonnegative values, and q and p must both integrate to 1; bin_masses
-    raises DomainMismatchError where they do not (Monte Carlo checks only
-    the ratio at its samples).  The quadrature calls them from several
-    threads at once, so they must not mutate shared state.  For quadrature
-    on an unbounded support a truncation interval capturing all but
-    <= 1e-10 of both masses must be supplied; each measure's leftover is
-    folded into the cell of the ratio at the truncation's upper end if the
-    support extends past it, else at its lower end, and reported on the
-    level.  breaks lists points where the densities may jump; the
+    base_density and ratio must act elementwise on numpy arrays of any
+    shape, returning finite, nonnegative values of the same shape, and q
+    and p must both integrate to 1; bin_masses raises DomainMismatchError
+    where they do not (Monte Carlo checks only the ratio at its samples).
+    The quadrature calls them on 2-D arrays with one row per node or sample
+    and one column per interval or panel, as well as on 1-D ones, and from
+    several threads at once, so they must not mutate shared state.  For
+    quadrature on an unbounded support a truncation interval capturing all
+    but <= 1e-10 of both masses must be supplied; each measure's leftover
+    is folded into the cell of the ratio at the truncation's upper end if
+    the support extends past it, else at its lower end, and reported on
+    the level.  breaks lists points where the densities may jump; the
     quadrature's panels start at those inside the working interval.
 
     Known limit: the quadrature sees the ratio only at its panel samples
@@ -201,10 +203,13 @@ def _cell_of(r: np.ndarray, n: int) -> np.ndarray:
 
 
 def _in_cell(r: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
-    """Whether every ratio value in each row of r lies in that row's cell."""
+    """Whether every ratio value in each column of r lies in that column's
+    cell: the column's least value is at or above the cell's lower edge and
+    its greatest below the upper one, which for the finite values _checked
+    lets through is the same test as one comparison per value."""
     low = cells * 2.0**-n
     high = np.where(cells == n * (1 << n), INF, low + 2.0**-n)
-    return ((r >= low[:, None]) & (r < high[:, None])).all(axis=1)
+    return (r.min(axis=0) >= low) & (r.max(axis=0) < high)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,6 +358,10 @@ def _monotone_panels(model: DensityModel, lo: float, hi: float, n: int):
     nearest sample by less than that width.
     Other panels are halved, at most _MONOTONE_DEPTH times; the mass of a
     panel still unresolved then is charged to the returned error.
+    The samples are laid out sample-major, one row per sample and one
+    column per panel, so that each test reduces down the rows; a model
+    that fails is checked through the transpose, so the first bad value
+    named is the first in (panel, sample) order.
     """
     breaks = np.asarray(model.breaks, dtype=float)
     edges = np.union1d(np.linspace(lo, hi, _PANELS + 1), breaks[(breaks > lo) & (breaks < hi)])
@@ -361,23 +370,24 @@ def _monotone_panels(model: DensityModel, lo: float, hi: float, n: int):
     err = 0.0
     for depth in range(_MONOTONE_DEPTH + 1):
         _require_room(a.size, n)
-        xs = np.clip(a[:, None] + (b - a)[:, None] * _SAMPLES, lo, hi)
-        xs[:, 1], xs[:, -2] = a, b
-        r = _checked(model, xs, "ratio", model.ratio(xs))
-        step = np.diff(r, axis=1)
-        xs, r = xs[:, 1:-1], r[:, 1:-1]  # the panel's own samples
-        r_min, r_max = r.min(axis=1), r.max(axis=1)
+        xs = np.clip(a + (b - a) * _SAMPLES[:, None], lo, hi)
+        xs[1], xs[-2] = a, b
+        r = _checked(model, xs.T, "ratio", model.ratio(xs).T).T
+        step = np.diff(r, axis=0)
+        xs, r = xs[1:-1], r[1:-1]  # the panel's own samples
+        r_min, r_max = r.min(axis=0), r.max(axis=0)
         spread = r_max - r_min
         ok = (
-            (step >= 0).all(axis=1)
-            | (step <= 0).all(axis=1)
+            (step >= 0).all(axis=0)
+            | (step <= 0).all(axis=0)
             | (_cell_of(r_min - spread, n) == _cell_of(r_max + spread, n))
         )
         if depth == _MONOTONE_DEPTH and not ok.all():
-            q = _checked(model, xs[~ok], "base density", model.base_density(xs[~ok]))
-            err += float(np.sum((b - a)[~ok] * (q * (1.0 + r[~ok])).max(axis=1)))
+            xs = xs[:, ~ok]
+            q = _checked(model, xs.T, "base density", model.base_density(xs).T).T
+            err += float(np.sum((b - a)[~ok] * (q * (1.0 + r[:, ~ok])).max(axis=0)))
             ok[:] = True
-        done.append((a[ok], b[ok], r[ok, 0], r[ok, -1]))
+        done.append((a[ok], b[ok], r[0, ok], r[-1, ok]))
         if ok.all():
             break
         a, b = a[~ok], b[~ok]
@@ -509,10 +519,13 @@ def _integrate(model: DensityModel, breaks, n: int, q_mass, p_mass) -> float:
         if depth == _MAX_HALVINGS:
             err += float(np.sum((q7 + p7)[stray]))
             done[:] = True
-        q_mass += np.bincount(cells[done], weights=q7[done], minlength=q_mass.size)
-        p_mass += np.bincount(cells[done], weights=p7[done], minlength=p_mass.size)
-        err += float(np.sum(diff[done]))
-        if done.all():
+        finished = done.all()
+        # the same values in the same order, without copying them
+        sel = slice(None) if finished else done
+        q_mass += np.bincount(cells[sel], weights=q7[sel], minlength=q_mass.size)
+        p_mass += np.bincount(cells[sel], weights=p7[sel], minlength=p_mass.size)
+        err += float(np.sum(diff[sel]))
+        if finished:
             break
         a, b = a[~done], b[~done]
         mid = 0.5 * (a + b)
@@ -529,9 +542,13 @@ def _gauss(model: DensityModel, a, b, n: int):
     ratio and their product are evaluated there only; the midpoint is a
     node too.  A break at a located crossing is the first float past it, so
     the float before b is still on the interval's side.  The model is
-    called on _GAUSS_BLOCK intervals at a time, so each node array stays in
-    cache.  The sums are elementwise products summed along each row, so an
-    interval's sums do not depend on the block's shape.
+    called on _GAUSS_BLOCK intervals at a time.  The nodes are laid out
+    node-major, one row per node and one column per interval, so every sum
+    and test reduces down the rows.  Summing along axis 0 adds the weighted
+    rows in node order, as a sum along one interval's row of nodes would,
+    so an interval's sums do not depend on the block's shape.  A model
+    that fails is checked through the transpose, so the first bad value
+    named is the first in (interval, node) order.
     """
     out = np.empty((3, a.size))
     cells = np.empty(a.size, dtype=np.int64)
@@ -540,15 +557,16 @@ def _gauss(model: DensityModel, a, b, n: int):
     def block(s):
         lo, hi = a[s:s + _GAUSS_BLOCK], b[s:s + _GAUSS_BLOCK]
         half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
-        nodes = mid[:, None] + half[:, None] * _K7_X
-        ends = np.column_stack([lo, np.nextafter(hi, lo)])
-        r = _checked(model, nodes, "ratio", model.ratio(nodes))
-        r_ends = _checked(model, ends, "ratio", model.ratio(ends))
-        q = _checked(model, nodes, "base density", model.base_density(nodes))
-        p = _checked(model, nodes, "ratio * base density", q * r)
-        q7, p7 = half * (q * _K7_W).sum(axis=1), half * (p * _K7_W).sum(axis=1)
-        q3, p3 = half * (q[:, 1::2] * _G3_W).sum(axis=1), half * (p[:, 1::2] * _G3_W).sum(axis=1)
-        c = _cell_of(r[:, 3], n)
+        nodes = mid + half * _K7_X[:, None]
+        ends = np.stack([lo, np.nextafter(hi, lo)])
+        r = _checked(model, nodes.T, "ratio", model.ratio(nodes).T).T
+        r_ends = _checked(model, ends.T, "ratio", model.ratio(ends).T).T
+        q = _checked(model, nodes.T, "base density", model.base_density(nodes).T).T
+        p = _checked(model, nodes.T, "ratio * base density", (q * r).T).T
+        q7, p7 = half * (q * _K7_W[:, None]).sum(axis=0), half * (p * _K7_W[:, None]).sum(axis=0)
+        q3 = half * (q[1::2] * _G3_W[:, None]).sum(axis=0)
+        p3 = half * (p[1::2] * _G3_W[:, None]).sum(axis=0)
+        c = _cell_of(r[3], n)
         cells[s:s + _GAUSS_BLOCK] = c
         stray[s:s + _GAUSS_BLOCK] = ~(_in_cell(r, c, n) & _in_cell(r_ends, c, n))
         out[:, s:s + _GAUSS_BLOCK] = q7, p7, np.abs(q7 - q3) + np.abs(p7 - p3)
@@ -577,16 +595,50 @@ def discretized_kl(level: PartitionLevel) -> float:
     """Discrete relative entropy of the level's cell masses, in nats.
 
     Cells with p-mass but no q-mass witness a failure of absolute
-    continuity at this resolution and give +inf.
+    continuity at this resolution and give +inf, as does a cell whose p/q
+    overflows.  The terms p log(p/q) are summed exactly and rounded once,
+    so the value is math.fsum's.
     """
     p, q = level.p_mass, level.q_mass
     occupied = p > 0
     if np.any(occupied & (q <= 0)):
         return INF
-    terms = p[occupied] * np.log(p[occupied] / q[occupied])
-    # fsum is correctly rounded, so reading a list instead of the array
-    # changes no bit and saves a numpy scalar per term
-    return max(0.0, math.fsum(terms.tolist()))
+    with np.errstate(over="ignore"):
+        terms = p[occupied] * np.log(p[occupied] / q[occupied])
+    return max(0.0, _exact_sum(terms))
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum(x.tolist()) of a 1-D float array, bit for bit.
+
+    Each term is m 2^(e - 53) with m an integer below 2^53 in magnitude, cut
+    into three pieces of at most 21 bits.  np.bincount adds each piece per
+    exponent e, exactly while there are fewer than 2^31 terms; Python ints
+    add the per-exponent sums, and one division rounds the exact total
+    once.  fsum's result is that correctly rounded total too.  fsum itself
+    takes the arrays this cannot match it on: an empty one, non-finite
+    terms, totals whose partial sums may overflow, and an exact zero, whose
+    sign is fsum's to choose.
+    """
+    m, e = np.frexp(x)
+    if x.size == 0 or not np.isfinite(m).all() or int(e.max()) + x.size.bit_length() > 1023:
+        return math.fsum(x.tolist())
+    m = m * 2.0**53  # exact: integers below 2^53 in magnitude
+    top = np.trunc(m * 2.0**-42)
+    m -= top * 2.0**42
+    middle = np.trunc(m * 2.0**-21)
+    m -= middle * 2.0**21
+    low = int(e.min())
+    e -= low
+    width = int(e.max()) + 1
+    total = 0
+    for piece, shift in ((top, 42), (middle, 21), (m, 0)):
+        sums = np.bincount(e, weights=piece, minlength=width).astype(np.int64).tolist()
+        total += sum(s << k for k, s in enumerate(sums) if s) << shift
+    if total == 0:
+        return math.fsum(x.tolist())
+    low -= 53
+    return float(total << low) if low >= 0 else total / (1 << -low)
 
 
 @dataclass(frozen=True)

@@ -152,17 +152,20 @@ def cmd_estimate_kl(args) -> int:
 
 
 def cmd_score(args) -> int:
-    summary: dict = {"mode": args.mode}
+    # summary() builds the --summary document, only when one is asked for
     if args.mode == "conditional":
         pair = _load_pair(args.path)
         decomposition = convex_decompose(pair)
-        rows = []
         for y, weight, local in decomposition.entries:
-            q = documents.format_fraction(weight)
-            print(f"scenario {y}: q = {q}, score = {_fmt(local)}")
-            rows.append({"scenario": y, "q": q, "score": _json_float(local)})
+            print(f"scenario {y}: q = {documents.format_fraction(weight)}, score = {_fmt(local)}")
         print(f"total = {_fmt(decomposition.total)}")
-        summary.update(scenarios=rows, total=_json_float(decomposition.total))
+
+        def summary():
+            rows = [
+                {"scenario": y, "q": documents.format_fraction(weight), "score": _json_float(local)}
+                for y, weight, local in decomposition.entries
+            ]
+            return {"scenarios": rows, "total": _json_float(decomposition.total)}
     elif args.mode == "empirical":
         log = documents.parse_forecast_log(_read(args.path))
         reports = []
@@ -171,14 +174,19 @@ def cmd_score(args) -> int:
             for rnd, score in report.per_round:
                 print(f"{name}, round {rnd}: {_fmt(score)}")
             print(f"{name}, total: {_fmt(report.total)}")
-            reports.append(
-                {
-                    "forecaster": name,
-                    "per_round": [[r, _json_float(s)] for r, s in report.per_round],
-                    "total": _json_float(report.total),
-                }
-            )
-        summary["reports"] = reports
+            reports.append((name, report))
+
+        def summary():
+            return {
+                "reports": [
+                    {
+                        "forecaster": name,
+                        "per_round": [[r, _json_float(s)] for r, s in report.per_round],
+                        "total": _json_float(report.total),
+                    }
+                    for name, report in reports
+                ]
+            }
     else:  # sequential
         if args.truth is None:
             raise DomainMismatchError("sequential mode requires --truth")
@@ -200,10 +208,13 @@ def cmd_score(args) -> int:
             telescoped = math.fsum(scores[1:])
             direct = kl_score(truth, forecasts[0]) - kl_score(truth, forecasts[-1])
             print(f"telescoped check: {_fmt(telescoped)} vs {_fmt(direct)}")
-        summary["scores"] = [_json_float(s) for s in scores]
+
+        def summary():
+            return {"scores": [_json_float(s) for s in scores]}
     if args.summary:
+        text = json.dumps({"mode": args.mode, **summary()}, indent=2, allow_nan=False) + "\n"
         try:
-            Path(args.summary).write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
+            Path(args.summary).write_text(text)
         except OSError as exc:
             raise KernelflowError(f"cannot write {args.summary}: {exc.strerror}")
     return EXIT_OK

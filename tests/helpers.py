@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own code paths: KL sums
 are plain float arithmetic over mass dicts, the level-n exponential
 reference inverts the monotone density ratio and uses the closed-form CDFs,
-and agreement_check integrates on its own dense midpoint grid.  The law
+and agreement_check integrates on its own dense midpoint grid.  The
+interval-major quadrature kernels are the estimator's earlier layout, kept
+as bit-for-bit references for its node-major one.  The law
 suites take any functor F(pair) -> [0, inf] and count the instances on
 which it breaks one of the laws that single out c * RE.
 """
@@ -18,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from kernelflow import borel
 from kernelflow.borel import DensityModel, PartitionLevel, cell_count
 from kernelflow.entropy import re_fin
 from kernelflow.errors import DomainMismatchError
@@ -350,6 +353,65 @@ def agreement_check(model: DensityModel, level: PartitionLevel) -> float:
     simple = np.zeros(nc)
     simple[occupied] = level.p_mass[occupied] / level.q_mass[occupied]
     return float(np.max(np.abs(level.p_mass - simple * q_ref), initial=0.0))
+
+
+def interval_major_gauss(model: DensityModel, a, b, n: int):
+    """borel._gauss as one interval-major block: one row of 7 nodes per
+    interval, each sum along a row and each test across it."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    nodes = mid[:, None] + half[:, None] * borel._K7_X
+    ends = np.column_stack([a, np.nextafter(b, a)])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = borel._checked(model, nodes, "ratio", model.ratio(nodes))
+        r_ends = borel._checked(model, ends, "ratio", model.ratio(ends))
+        q = borel._checked(model, nodes, "base density", model.base_density(nodes))
+        p = borel._checked(model, nodes, "ratio * base density", q * r)
+    q7, p7 = half * (q * borel._K7_W).sum(axis=1), half * (p * borel._K7_W).sum(axis=1)
+    q3, p3 = half * (q[:, 1::2] * borel._G3_W).sum(axis=1), half * (p[:, 1::2] * borel._G3_W).sum(axis=1)
+    cells = borel._cell_of(r[:, 3], n)
+
+    def in_cell(r):
+        low = cells * 2.0**-n
+        high = np.where(cells == n * (1 << n), INF, low + 2.0**-n)
+        return ((r >= low[:, None]) & (r < high[:, None])).all(axis=1)
+
+    stray = ~(in_cell(r) & in_cell(r_ends))
+    return q7, p7, np.abs(q7 - q3) + np.abs(p7 - p3), cells, stray
+
+
+def interval_major_panels(model: DensityModel, lo: float, hi: float, n: int):
+    """borel._monotone_panels with one row of samples per panel."""
+    breaks = np.asarray(model.breaks, dtype=float)
+    edges = np.union1d(np.linspace(lo, hi, borel._PANELS + 1), breaks[(breaks > lo) & (breaks < hi)])
+    a, b = edges[:-1], edges[1:]
+    done = []
+    err = 0.0
+    for depth in range(borel._MONOTONE_DEPTH + 1):
+        borel._require_room(a.size, n)
+        xs = np.clip(a[:, None] + (b - a)[:, None] * borel._SAMPLES, lo, hi)
+        xs[:, 1], xs[:, -2] = a, b
+        r = borel._checked(model, xs, "ratio", model.ratio(xs))
+        step = np.diff(r, axis=1)
+        xs, r = xs[:, 1:-1], r[:, 1:-1]
+        r_min, r_max = r.min(axis=1), r.max(axis=1)
+        spread = r_max - r_min
+        ok = (
+            (step >= 0).all(axis=1)
+            | (step <= 0).all(axis=1)
+            | (borel._cell_of(r_min - spread, n) == borel._cell_of(r_max + spread, n))
+        )
+        if depth == borel._MONOTONE_DEPTH and not ok.all():
+            q = borel._checked(model, xs[~ok], "base density", model.base_density(xs[~ok]))
+            err += float(np.sum((b - a)[~ok] * (q * (1.0 + r[~ok])).max(axis=1)))
+            ok[:] = True
+        done.append((a[ok], b[ok], r[ok, 0], r[ok, -1]))
+        if ok.all():
+            break
+        a, b = a[~ok], b[~ok]
+        mid = 0.5 * (a + b)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+    a, b, r_a, r_b = (np.concatenate(col) for col in zip(*done))
+    return a, b, r_a, r_b, err
 
 
 def scaled_functor(c: float, pair: CoherentPair) -> float:

@@ -18,12 +18,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelflow import borel
 from kernelflow.borel import (
     DensityModel,
     IntegratorSpec,
     KlTrace,
+    PartitionLevel,
     bin_masses,
     cell_count,
     discretized_kl,
@@ -38,7 +41,13 @@ from kernelflow.borel import (
 )
 from kernelflow.errors import DomainMismatchError, IntegrationToleranceError
 
-from helpers import agreement_check, cell_interval, exponential_kl_oracle
+from helpers import (
+    agreement_check,
+    cell_interval,
+    exponential_kl_oracle,
+    interval_major_gauss,
+    interval_major_panels,
+)
 
 INF = math.inf
 QUAD = IntegratorSpec()
@@ -89,6 +98,16 @@ def jump_inside_a_panel():
     KL is the KL, 3/8 ln 3/4 + 5/8 ln 5/4."""
     return DensityModel(
         "jump", lambda x: np.where(x < 0.5, 1.5, 0.5), lambda x: np.where(x < 1 / 3, 0.75, 1.25), (0.0, 1.0)
+    )
+
+
+def narrow_piece():
+    """q = 1 on [0, 1] and a ratio of 50 on a piece 1e-5 wide, declared as
+    breaks, and a constant below 1 elsewhere."""
+    at, width, peak = 0.50003333, 1e-5, 50.0
+    rest = (1 - width * peak) / (1 - width)
+    return piecewise_constant_model(
+        [(0.0, at, 1.0, rest), (at, at + width, 1.0, peak), (at + width, 1.0, 1.0, rest)]
     )
 
 
@@ -507,6 +526,86 @@ class TestKronrodRule:
         assert np.sum(borel._G3_W * borel._K7_X[1::2] ** 6) == pytest.approx(6 / 25)
 
 
+# the models whose quadrature kernels are checked against the
+# interval-major layout: both bench pairs, the unequal-sigma pair whose
+# panels are halved, a peak of test_peak_just_above_a_cell_edge, a ratio
+# with an infinite slope and a piecewise model with a narrow piece
+LAYOUT_MODELS = {
+    "gaussian": gauss01_11,
+    "exponential": expo1_2,
+    "unequal-sigma": lambda: gaussian_model(0, 1, 0, 2, truncation=(-16.0, 16.0)),
+    "peak": lambda: gaussian_model(
+        -16 + 2090.95 / 128, 1, -16 + 2090.95 / 128, 2 + 2.0**-24, truncation=(-16.0, 16.0)
+    ),
+    "sqrt": sqrt_model,
+    "piecewise": narrow_piece,
+}
+
+
+class TestNodeMajorLayout:
+    """The quadrature lays its nodes and samples out node-major, one row per
+    node and one column per interval or panel.  Every output equals, bit for
+    bit, the interval-major layout's in tests/helpers.py."""
+
+    @pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
+    @pytest.mark.parametrize("n", [3, 10])
+    @pytest.mark.parametrize("name", LAYOUT_MODELS)
+    def test_gauss_matches_interval_major(self, monkeypatch, name, n, block):
+        model = LAYOUT_MODELS[name]()
+        if block is not None:
+            monkeypatch.setattr(borel, "_GAUSS_BLOCK", block)
+        calls = []
+        gauss = borel._gauss
+
+        def spy(model, a, b, n):
+            out = gauss(model, a, b, n)
+            calls.append((a, b, out))
+            return out
+
+        monkeypatch.setattr(borel, "_gauss", spy)
+        bin_masses(model, n, QUAD)
+        assert calls
+        for a, b, out in calls:
+            for got, want in zip(out, interval_major_gauss(model, a, b, n), strict=True):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [3, 10])
+    @pytest.mark.parametrize("name", [*LAYOUT_MODELS, "peak-unresolved"])
+    def test_monotone_panels_match_interval_major(self, monkeypatch, name, n):
+        if name == "peak-unresolved":
+            # no halvings: the peak's panel is charged to the error
+            model = peak_missed_by_the_panels(monkeypatch)[0]
+        else:
+            model = LAYOUT_MODELS[name]()
+        lo, hi = model.quad_interval()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            got = borel._monotone_panels(model, lo, hi, n)
+        want = interval_major_panels(model, lo, hi, n)
+        for g, w in zip(got[:4], want[:4], strict=True):
+            assert np.array_equal(g, w)
+        assert got[4] == want[4]
+        assert (got[4] > 0) == (name == "peak-unresolved")
+
+    def test_first_bad_value_in_interval_order(self):
+        # two intervals in one block, the ratio negative at node 5 of the
+        # first and node 1 of the second: in node-major order node 1 of the
+        # second comes first, but the error names the first interval's
+        # point, as the interval-major layout did
+        a, b = np.array([0.0, 1.0]), np.array([1.0, 2.0])
+        first = 0.5 + 0.5 * borel._K7_X[5]
+        second = 1.5 + 0.5 * borel._K7_X[1]
+        model = DensityModel(
+            "two-bad-nodes", np.ones_like,
+            lambda x: np.where((x == first) | (x == second), -1.0, 1.0), (0.0, 2.0),
+        )
+        message = f"model 'two-bad-nodes': ratio is -1.0 at x = {first:.9g}, not a finite nonnegative number"
+        for gauss in (borel._gauss, interval_major_gauss):
+            with pytest.raises(DomainMismatchError) as info:
+                gauss(model, a, b, 1)
+            assert str(info.value) == message
+
+
 class TestCrossings:
     """Each crossing of a cell edge is narrowed around interpolated guesses,
     then halved, to a pair of adjacent floats on either side of its edge."""
@@ -581,9 +680,12 @@ class TestDiscretizedKl:
         p = level.p_mass.copy()
         q = level.q_mass.copy()
         p[0] += 0.1  # inject mass where q has none
-        from kernelflow.borel import PartitionLevel
-
         assert discretized_kl(PartitionLevel(2, p, q)) == INF
+
+    def test_overflowing_ratio_of_masses_is_infinite(self):
+        # p / q overflows in the one occupied cell, so its term is inf
+        level = PartitionLevel(1, np.array([0.5, 0.5, 0.0]), np.array([1e-320, 1.0 - 1e-320, 0.0]))
+        assert discretized_kl(level) == INF
 
     def test_lower_bound_property(self):
         for n in (1, 2, 4, 6):
@@ -591,6 +693,82 @@ class TestDiscretizedKl:
             assert discretized_kl(level) <= gaussian_kl(0, 1, 1, 1) + 1e-6
             level = bin_masses(expo1_2(), n, QUAD)
             assert discretized_kl(level) <= exponential_kl(1, 2) + 1e-6
+
+
+def fsum(x):
+    return math.fsum(x.tolist())
+
+
+def outcome(sum_, x):
+    """The bits of sum_(x), so that the sign of a zero and a NaN's payload
+    count, or the type of what it raises."""
+    try:
+        return np.float64(sum_(x)).tobytes()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def term_arrays(draw):
+    """Float arrays of up to 5,000 terms: mixed signs, subnormals, binary
+    exponents from -1074 up to about 1e300, and terms cancelled exactly."""
+    size = draw(st.integers(0, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low, high = sorted(draw(st.integers(-1074, 997)) for _ in range(2))
+    x = np.ldexp(rng.uniform(0.5, 1.0, size), rng.integers(low, high + 1, size))
+    x[rng.random(size) < draw(st.floats(0.0, 1.0))] *= -1
+    x[rng.random(size) < 0.01] = 0.0
+    if draw(st.booleans()):
+        x[: size // 2] = -x[size - size // 2:]  # exact cancellation
+        rng.shuffle(x)
+    return x
+
+
+class TestExactSum:
+    """borel._exact_sum gives math.fsum's value, bit for bit, or raises
+    what fsum raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(term_arrays())
+    def test_equals_fsum(self, x):
+        assert outcome(borel._exact_sum, x) == outcome(fsum, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    def test_equals_fsum_on_any_finite_floats(self, terms):
+        # the largest floats included, where fsum's partial sums overflow
+        x = np.array(terms, dtype=float)
+        assert outcome(borel._exact_sum, x) == outcome(fsum, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-1e300, 1e300), max_size=40),
+        st.lists(st.sampled_from([INF, -INF, math.nan]), min_size=1, max_size=3),
+        st.randoms(use_true_random=False),
+    )
+    def test_non_finite_terms_as_fsum(self, finite, special, rnd):
+        terms = finite + special
+        rnd.shuffle(terms)
+        x = np.array(terms)
+        assert outcome(borel._exact_sum, x) == outcome(fsum, x)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [[], [0.0], [-0.0], [-0.0, -0.0], [1.0, -1.0], [-1e-320, 1e-320], [5e-324] * 3, [1e300, -1e300, 1e-300]],
+    )
+    def test_edge_cases(self, terms):
+        x = np.array(terms, dtype=float)
+        assert outcome(borel._exact_sum, x) == outcome(fsum, x)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_ladder_levels(self, n):
+        for model in (gauss01_11(), expo1_2()):
+            level = bin_masses(model, n, QUAD)
+            p, q = level.p_mass, level.q_mass
+            occupied = p > 0
+            terms = p[occupied] * np.log(p[occupied] / q[occupied])
+            # positive and finite, so == compares every bit
+            assert discretized_kl(level) == max(0.0, fsum(terms)) > 0
 
 
 class TestMonotoneRefinement:
