@@ -23,9 +23,11 @@ halving an interval only while that difference exceeds a
 width-proportional budget or the ratio at its nodes or ends leaves its
 cell.  Before the level is returned, the integrals of q and p are
 checked against 1, so a model that does not describe two probability
-measures fails at level 1.  The Monte Carlo integrator bins seeded
-samples from q.  Both are deterministic given their IntegratorSpec.  A
-level with more than _MAX_CELLS cells is refused before anything is
+measures fails at level 1.  The Monte Carlo integrator sorts the ratio
+at seeded samples from q: every cell is an interval of ratio values, so
+its samples are one run of the sorted sample, and its masses are the
+run's length and sum.  Both are deterministic given their IntegratorSpec.
+A level with more than _MAX_CELLS cells is refused before anything is
 allocated.
 
 The refinement ladder (estimate_kl) carries work from level n - 1 to
@@ -42,8 +44,10 @@ therefore, in order, level n's crossings of even edges 2h <= (n - 1) 2^n
 copies their right bracket ends and error terms and brackets only the
 rest; if its panels with such crossings are not level n - 1's panels
 with crossings, it brackets every crossing.  The Monte Carlo sample is
-drawn and its ratio checked once per ladder and only re-binned at each
-level.  Every level is bit-identical to bin_masses run from scratch.
+drawn, its ratio checked and sorted, and its runs found at the ladder's
+top level once per ladder; each level merges those runs, which gives the
+runs a fresh level finds.  Every level is bit-identical to bin_masses run
+from scratch.
 
 A level's Gauss blocks and bisection blocks run concurrently on a thread
 pool.  Each block writes only its own slices of the level's arrays, and
@@ -69,6 +73,7 @@ INF = math.inf
 _MODEL_VALIDATION_TOL = 1e-6
 _MAX_CELLS = 1 << 25  # cells a level may hold in memory, so n <= 20
 _MC_SAMPLES = 1_000_000  # Monte Carlo sample drawn once per ladder
+_EXACT_TERMS = 1 << 26  # terms _exact_sum adds exactly; levels hold at most _MAX_CELLS
 
 # Quadrature layout.  Every constant is fixed, so a level's masses depend
 # only on the model and n.
@@ -202,14 +207,14 @@ def _cell_of(r: np.ndarray, n: int) -> np.ndarray:
     return (np.clip(r, 0.0, n) * (1 << n)).astype(np.int64)
 
 
-def _in_cell(r: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
-    """Whether every ratio value in each column of r lies in that column's
-    cell: the column's least value is at or above the cell's lower edge and
-    its greatest below the upper one, which for the finite values _checked
-    lets through is the same test as one comparison per value."""
+def _in_cell(r_min: np.ndarray, r_max: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
+    """Whether ratio values from r_min to r_max lie in the cells: the least
+    is at or above the cell's lower edge and the greatest below the upper
+    one, which for finite values is the same test as one comparison per
+    value."""
     low = cells * 2.0**-n
     high = np.where(cells == n * (1 << n), INF, low + 2.0**-n)
-    return (r.min(axis=0) >= low) & (r.max(axis=0) < high)
+    return (r_min >= low) & (r_max < high)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,20 +235,24 @@ class PartitionLevel:
 
 def bin_masses(model: DensityModel, n: int, integrator: IntegratorSpec) -> PartitionLevel:
     """Masses of p and q on each level-n cell of the ratio partition."""
-    return _level(model, n, integrator, _Ladder())
+    return _level(model, n, integrator, _Ladder(n))
 
 
 class _Ladder:
     """What one refinement ladder carries from a level to the next.
 
-    ratio is the Monte Carlo sample's ratio, drawn and checked once.  For
+    top is the finest level the ladder may reach.  ratio is the Monte Carlo
+    sample's ratio, drawn and checked once and then sorted, so that every
+    cell of every level is one run of it; starts and cells give the first
+    index and the level-top cell of each nonempty run at level top.  For
     the quadrature, n is the last level whose crossings are kept, a and b
     are the ends of its panels with crossings, and cuts and terms hold each
     crossing's right bracket end and error term, in order.
     """
 
-    def __init__(self):
-        self.ratio = None
+    def __init__(self, top: int):
+        self.top = top
+        self.ratio = self.starts = self.cells = None
         self.n = 0  # no level kept yet
         self.a = self.b = self.cuts = self.terms = np.empty(0)
 
@@ -271,17 +280,34 @@ def validate_model(model: DensityModel) -> tuple[float, float]:
 
 
 def _bin_masses_mc(model: DensityModel, n: int, spec: IntegratorSpec, ladder: _Ladder) -> PartitionLevel:
+    """Level n's masses off the sorted sample's runs.  A level-n cell is the
+    union of the level-top cells k with min(k >> (top - n), n << n) equal
+    to it, so its run is theirs merged: its q-mass is the run's length / N
+    and its p-mass the run's sum / N, the same whatever the ladder's top."""
     if ladder.ratio is None:
         if model.sampler is None:
             raise DomainMismatchError(f"model {model.name!r} has no sampler for Monte Carlo")
         rng = np.random.default_rng(spec.seed)
         xs = np.asarray(model.sampler(rng, _MC_SAMPLES), dtype=float)
-        ladder.ratio = _checked(model, xs, "ratio", model.ratio(xs))
+        r = np.sort(_checked(model, xs, "ratio", model.ratio(xs)))
+        # the finest level this ladder may reach; higher ones are refused
+        top = n
+        while top < ladder.top and cell_count(top + 1) <= _MAX_CELLS:
+            top += 1
+        k = _cell_of(r, top)
+        starts = np.flatnonzero(np.diff(k, prepend=-1))
+        ladder.top, ladder.ratio, ladder.starts, ladder.cells = top, r, starts, k[starts]
     r = ladder.ratio
-    cells = _cell_of(r, n)
+    cells = np.minimum(ladder.cells >> (ladder.top - n), n << n)
+    first = np.flatnonzero(np.diff(cells, prepend=-1))
+    starts, cells = ladder.starts[first], cells[first]
     nc = cell_count(n)
-    q_mass = np.bincount(cells, minlength=nc).astype(float) / _MC_SAMPLES
-    p_mass = np.bincount(cells, weights=r, minlength=nc) / _MC_SAMPLES
+    q_mass = np.zeros(nc)
+    q_mass[cells] = np.diff(starts, append=r.size) / _MC_SAMPLES
+    # added to 0, as bincount's sums are, so a run of -0.0 gives 0.0
+    p_mass = np.zeros(nc)
+    p_mass[cells] += np.add.reduceat(r, starts)
+    p_mass /= _MC_SAMPLES
     err = 1.0 / math.sqrt(_MC_SAMPLES)
     return PartitionLevel(n, p_mass, q_mass, err)
 
@@ -559,21 +585,35 @@ def _gauss(model: DensityModel, a, b, n: int):
         half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
         nodes = mid + half * _K7_X[:, None]
         ends = np.stack([lo, np.nextafter(hi, lo)])
-        r = _checked(model, nodes.T, "ratio", model.ratio(nodes).T).T
-        r_ends = _checked(model, ends.T, "ratio", model.ratio(ends).T).T
+        r, r_min, r_max = _ratio_range(model, nodes)
+        _, e_min, e_max = _ratio_range(model, ends)
         q = _checked(model, nodes.T, "base density", model.base_density(nodes).T).T
-        p = _checked(model, nodes.T, "ratio * base density", (q * r).T).T
+        p = q * r
+        if not p.max() < INF:  # finite nonnegative q and r give no NaN
+            _checked(model, nodes.T, "ratio * base density", p.T)
         q7, p7 = half * (q * _K7_W[:, None]).sum(axis=0), half * (p * _K7_W[:, None]).sum(axis=0)
         q3 = half * (q[1::2] * _G3_W[:, None]).sum(axis=0)
         p3 = half * (p[1::2] * _G3_W[:, None]).sum(axis=0)
         c = _cell_of(r[3], n)
         cells[s:s + _GAUSS_BLOCK] = c
-        stray[s:s + _GAUSS_BLOCK] = ~(_in_cell(r, c, n) & _in_cell(r_ends, c, n))
+        stray[s:s + _GAUSS_BLOCK] = ~_in_cell(np.minimum(r_min, e_min), np.maximum(r_max, e_max), c, n)
         out[:, s:s + _GAUSS_BLOCK] = q7, p7, np.abs(q7 - q3) + np.abs(p7 - p3)
 
     _map_blocks(block, a.size, _GAUSS_BLOCK)
     q7, p7, diff = out
     return q7, p7, diff, cells, stray
+
+
+def _ratio_range(model: DensityModel, xs):
+    """The ratio at node-major xs, with each column's least and greatest
+    value, after checking through them that every value is finite and
+    nonnegative (a NaN passes to both); a model that fails is checked
+    through the transpose, as _checked is."""
+    r = model.ratio(xs)
+    r_min, r_max = r.min(axis=0), r.max(axis=0)
+    if not (r_min.min() >= 0 and r_max.max() < INF):
+        _checked(model, xs.T, "ratio", r.T)
+    return r, r_min, r_max
 
 
 def _checked(model: DensityModel, xs, what: str, values):
@@ -595,44 +635,57 @@ def discretized_kl(level: PartitionLevel) -> float:
     """Discrete relative entropy of the level's cell masses, in nats.
 
     Cells with p-mass but no q-mass witness a failure of absolute
-    continuity at this resolution and give +inf, as does a cell whose p/q
-    overflows.  The terms p log(p/q) are summed exactly and rounded once,
-    so the value is math.fsum's.
+    continuity at this resolution and give +inf.  The terms p log(p/q)
+    are summed exactly and rounded once, so the value is math.fsum's.  A
+    cell whose p/q overflows to inf or underflows to 0 has a finite term
+    all the same, and it is computed as p (log p - log q) instead; only
+    a sum that comes out non-finite looks for such cells.
     """
     p, q = level.p_mass, level.q_mass
     occupied = p > 0
     if np.any(occupied & (q <= 0)):
         return INF
-    with np.errstate(over="ignore"):
-        terms = p[occupied] * np.log(p[occupied] / q[occupied])
-    return max(0.0, _exact_sum(terms))
+    p, q = p[occupied], q[occupied]
+    with np.errstate(over="ignore", divide="ignore"):
+        terms = p * np.log(p / q)
+        try:
+            total = _exact_sum(terms)
+        except ValueError:  # fsum's inf - inf
+            total = math.nan
+        if not math.isfinite(total):
+            off = ~np.isfinite(terms)
+            terms[off] = p[off] * (np.log(p[off]) - np.log(q[off]))
+            total = _exact_sum(terms)
+    return max(0.0, total)
 
 
 def _exact_sum(x: np.ndarray) -> float:
     """math.fsum(x.tolist()) of a 1-D float array, bit for bit.
 
     Each term is m 2^(e - 53) with m an integer below 2^53 in magnitude, cut
-    into three pieces of at most 21 bits.  np.bincount adds each piece per
-    exponent e, exactly while there are fewer than 2^31 terms; Python ints
-    add the per-exponent sums, and one division rounds the exact total
-    once.  fsum's result is that correctly rounded total too.  fsum itself
-    takes the arrays this cannot match it on: an empty one, non-finite
-    terms, totals whose partial sums may overflow, and an exact zero, whose
-    sign is fsum's to choose.
+    into a piece of at most 27 bits and one of 26.  np.bincount adds each
+    piece per exponent e, exactly while there are at most _EXACT_TERMS =
+    2^26 terms, so that no sum reaches 2^53; Python ints add the
+    per-exponent sums, and one division rounds the exact total once.
+    fsum's result is that correctly rounded total too.  fsum itself takes
+    the arrays this cannot match it on: an empty one, a longer one,
+    non-finite terms, totals whose partial sums may overflow, and an exact
+    zero, whose sign is fsum's to choose.
     """
     m, e = np.frexp(x)
-    if x.size == 0 or not np.isfinite(m).all() or int(e.max()) + x.size.bit_length() > 1023:
+    if (
+        x.size == 0 or x.size > _EXACT_TERMS or not np.isfinite(m).all()
+        or int(e.max()) + x.size.bit_length() > 1023
+    ):
         return math.fsum(x.tolist())
     m = m * 2.0**53  # exact: integers below 2^53 in magnitude
-    top = np.trunc(m * 2.0**-42)
-    m -= top * 2.0**42
-    middle = np.trunc(m * 2.0**-21)
-    m -= middle * 2.0**21
+    high = np.trunc(m * 2.0**-26)
+    m -= high * 2.0**26
     low = int(e.min())
     e -= low
     width = int(e.max()) + 1
     total = 0
-    for piece, shift in ((top, 42), (middle, 21), (m, 0)):
+    for piece, shift in ((high, 26), (m, 0)):
         sums = np.bincount(e, weights=piece, minlength=width).astype(np.int64).tolist()
         total += sum(s << k for k, s in enumerate(sums) if s) << shift
     if total == 0:
@@ -673,7 +726,7 @@ def estimate_kl(
     prev = None
     small_steps = 0
     converged = False
-    ladder = _Ladder()
+    ladder = _Ladder(n_max)
     try:
         for n in range(1, n_max + 1):
             level = _level(model, n, integrator, ladder)
@@ -703,14 +756,28 @@ def gaussian_model(
     if sigma1 <= 0 or sigma2 <= 0:
         raise DomainMismatchError("standard deviations must be positive")
 
+    # Both densities work in place on float arrays of their own, in the
+    # order of the plain expressions (-0.5 * z * z for q, and
+    # (sigma2 / sigma1) * exp(0.5 * (z2 * z2 - z1 * z1)) for the ratio,
+    # with z = (x - mu) / sigma), so they give the same bits
     def q_density(x):
-        z = (x - mu2) / sigma2
-        return np.exp(-0.5 * z * z) / (sigma2 * math.sqrt(2 * math.pi))
+        z = _standardized(x, mu2, sigma2)
+        w = np.multiply(-0.5, z, out=np.empty_like(z))
+        w *= z
+        np.exp(w, out=w)
+        w /= sigma2 * math.sqrt(2 * math.pi)
+        return w
 
     def ratio(x):
-        z1 = (x - mu1) / sigma1
-        z2 = (x - mu2) / sigma2
-        return (sigma2 / sigma1) * np.exp(0.5 * (z2 * z2 - z1 * z1))
+        z1 = _standardized(x, mu1, sigma1)
+        z1 *= z1
+        w = _standardized(x, mu2, sigma2)
+        w *= w
+        w -= z1
+        w *= 0.5
+        np.exp(w, out=w)
+        w *= sigma2 / sigma1
+        return w
 
     def sampler(rng, size):
         return rng.normal(mu2, sigma2, size)
@@ -723,6 +790,13 @@ def gaussian_model(
         truncation=truncation,
         sampler=sampler,
     )
+
+
+def _standardized(x, mu, sigma) -> np.ndarray:
+    """(x - mu) / sigma as a new float array, computed as the expression is."""
+    z = np.subtract(x, mu, out=np.empty(np.shape(x)))
+    z /= sigma
+    return z
 
 
 def gaussian_kl(mu1: float, sigma1: float, mu2: float, sigma2: float) -> float:
@@ -741,11 +815,21 @@ def exponential_model(
     if lam1 <= 0 or lam2 <= 0:
         raise DomainMismatchError("rates must be positive")
 
+    # in place, in the order of lam * exp(-lam * clip(x, 0)) and 0 where
+    # not x >= 0, so the bits are the plain expressions'
+    def scaled_exp(x, rate, scale):
+        w = np.clip(x, 0, None, out=np.empty(np.shape(x)))
+        w *= rate
+        np.exp(w, out=w)
+        w *= scale
+        np.copyto(w, 0.0, where=~np.greater_equal(x, 0))
+        return w
+
     def q_density(x):
-        return np.where(x >= 0, lam2 * np.exp(-lam2 * np.clip(x, 0, None)), 0.0)
+        return scaled_exp(x, -lam2, lam2)
 
     def ratio(x):
-        return np.where(x >= 0, (lam1 / lam2) * np.exp((lam2 - lam1) * np.clip(x, 0, None)), 0.0)
+        return scaled_exp(x, lam2 - lam1, lam1 / lam2)
 
     def sampler(rng, size):
         return rng.exponential(1.0 / lam2, size)

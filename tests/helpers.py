@@ -5,7 +5,8 @@ are plain float arithmetic over mass dicts, the level-n exponential
 reference inverts the monotone density ratio and uses the closed-form CDFs,
 and agreement_check integrates on its own dense midpoint grid.  The
 interval-major quadrature kernels are the estimator's earlier layout, kept
-as bit-for-bit references for its node-major one.  The law
+as bit-for-bit references for its node-major one, and the built-in
+models' plain expressions as references for their in-place ones.  The law
 suites take any functor F(pair) -> [0, inf] and count the instances on
 which it breaks one of the laws that single out c * RE.
 """
@@ -377,6 +378,34 @@ def interval_major_gauss(model: DensityModel, a, b, n: int):
 
     stray = ~(in_cell(r) & in_cell(r_ends))
     return q7, p7, np.abs(q7 - q3) + np.abs(p7 - p3), cells, stray
+
+
+def plain_gaussian_model(mu1, sigma1, mu2, sigma2):
+    """borel.gaussian_model's q and ratio as the plain expressions it
+    evaluates in place, kept as bit-for-bit references."""
+
+    def q_density(x):
+        z = (x - mu2) / sigma2
+        return np.exp(-0.5 * z * z) / (sigma2 * math.sqrt(2 * math.pi))
+
+    def ratio(x):
+        z1 = (x - mu1) / sigma1
+        z2 = (x - mu2) / sigma2
+        return (sigma2 / sigma1) * np.exp(0.5 * (z2 * z2 - z1 * z1))
+
+    return q_density, ratio
+
+
+def plain_exponential_model(lam1, lam2):
+    """borel.exponential_model's q and ratio as plain expressions."""
+
+    def q_density(x):
+        return np.where(x >= 0, lam2 * np.exp(-lam2 * np.clip(x, 0, None)), 0.0)
+
+    def ratio(x):
+        return np.where(x >= 0, (lam1 / lam2) * np.exp((lam2 - lam1) * np.clip(x, 0, None)), 0.0)
+
+    return q_density, ratio
 
 
 def interval_major_panels(model: DensityModel, lo: float, hi: float, n: int):

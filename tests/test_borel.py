@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from kernelflow import borel
 from kernelflow.borel import (
+    MODEL_REGISTRY,
     DensityModel,
     IntegratorSpec,
     KlTrace,
@@ -47,6 +48,8 @@ from helpers import (
     exponential_kl_oracle,
     interval_major_gauss,
     interval_major_panels,
+    plain_exponential_model,
+    plain_gaussian_model,
 )
 
 INF = math.inf
@@ -605,6 +608,22 @@ class TestNodeMajorLayout:
                 gauss(model, a, b, 1)
             assert str(info.value) == message
 
+    def test_overflowing_product_named_in_interval_order(self):
+        # q and the ratio are finite at every node, but their product
+        # overflows at node 5 of the first interval and node 1 of the
+        # second: the check on q * ratio names the first interval's point
+        a, b = np.array([0.0, 1.0]), np.array([1.0, 2.0])
+        first = 0.5 + 0.5 * borel._K7_X[5]
+        second = 1.5 + 0.5 * borel._K7_X[1]
+        huge = lambda x: np.where((x == first) | (x == second), 1e200, 1.0)  # noqa: E731
+        model = DensityModel("huge-product", huge, huge, (0.0, 2.0))
+        message = (f"model 'huge-product': ratio * base density is inf at x = {first:.9g}, "
+                   "not a finite nonnegative number")
+        for gauss in (borel._gauss, interval_major_gauss):
+            with pytest.raises(DomainMismatchError) as info:
+                gauss(model, a, b, 1)
+            assert str(info.value) == message
+
 
 class TestCrossings:
     """Each crossing of a cell edge is narrowed around interpolated guesses,
@@ -682,10 +701,21 @@ class TestDiscretizedKl:
         p[0] += 0.1  # inject mass where q has none
         assert discretized_kl(PartitionLevel(2, p, q)) == INF
 
-    def test_overflowing_ratio_of_masses_is_infinite(self):
-        # p / q overflows in the one occupied cell, so its term is inf
-        level = PartitionLevel(1, np.array([0.5, 0.5, 0.0]), np.array([1e-320, 1.0 - 1e-320, 0.0]))
-        assert discretized_kl(level) == INF
+    @pytest.mark.parametrize("p, q", [
+        # p / q overflows to inf in the first cell
+        ([0.5, 0.5, 0.0], [1e-320, 1.0 - 1e-320, 0.0]),
+        # p / q underflows to 0 in the second cell, whose -inf term would
+        # turn the sum into -inf and the KL into 0
+        ([0.5, 5e-324, 0.5 - 5e-324], [0.4, 2.0, 0.6]),
+        # both, where fsum would meet inf - inf
+        ([0.5, 5e-324, 0.5 - 5e-324], [1e-320, 2.0, 0.6]),
+    ], ids=["overflow", "underflow", "overflow-and-underflow"])
+    def test_ratio_of_masses_out_of_range_gives_a_finite_term(self, p, q):
+        level = PartitionLevel(1, np.array(p), np.array(q))
+        terms = [a * (math.log(a) - math.log(b)) for a, b in zip(p, q) if a > 0]
+        assert discretized_kl(level) == pytest.approx(math.fsum(terms), rel=1e-15)
+        if p[1] == 0.5:
+            assert discretized_kl(level) == pytest.approx(367.72047, abs=1e-5)
 
     def test_lower_bound_property(self):
         for n in (1, 2, 4, 6):
@@ -759,6 +789,23 @@ class TestExactSum:
     def test_edge_cases(self, terms):
         x = np.array(terms, dtype=float)
         assert outcome(borel._exact_sum, x) == outcome(fsum, x)
+
+    def test_long_arrays_go_to_fsum(self, monkeypatch):
+        # at most _EXACT_TERMS terms are added exactly; longer arrays are
+        # fsum's, which is shown by lowering the bound
+        calls = []
+
+        def spy(terms, fsum=math.fsum):
+            calls.append(len(terms))
+            return fsum(terms)
+
+        x = np.array([0.1, 0.2, 0.3, 1e-20, -0.6])
+        monkeypatch.setattr(math, "fsum", spy)
+        borel._exact_sum(x)
+        assert calls == []
+        monkeypatch.setattr(borel, "_EXACT_TERMS", 4)
+        assert outcome(borel._exact_sum, x) == outcome(fsum, x)
+        assert calls == [5, 5]
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_ladder_levels(self, n):
@@ -923,6 +970,43 @@ class TestLadderReuse:
         assert trace.levels == tuple(rows)
         assert ladder_calls <= share * calls[0]
         assert ladder_calls <= ceiling
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_monte_carlo_runs_merge_as_fresh_levels(self, monkeypatch, seed):
+        # ratio values on cell edges of every level from 3 up, in the tail
+        # of every level below 40 and of none, 0 and -0.0: each level of a
+        # ladder equals a fresh level, array for array, and its q-masses
+        # are the counts of the samples' cells, as binning them one by one
+        # gives them; p-masses are the cells' sums up to rounding
+        monkeypatch.setattr(borel, "_MC_SAMPLES", 5_000)
+        values = np.array([-0.0, 0.0, 0.125, 0.25, 0.3, 1.0, 1.5, 2.0, 2.875, 3.0, 7.0, 39.0, 1e300])
+
+        def sampler(rng, size):
+            return rng.integers(0, values.size, size).astype(float)
+
+        model = DensityModel("edges", np.ones_like, lambda x: values[x.astype(int)], (0.0, 13.0),
+                             sampler=sampler)
+        spec = IntegratorSpec(kind="mc", seed=seed)
+        n_max = 10
+        xs = sampler(np.random.default_rng(seed), borel._MC_SAMPLES)
+        r = model.ratio(xs)
+        ladder = borel._Ladder(n_max)
+        for n in range(1, n_max + 1):
+            level, fresh = borel._level(model, n, spec, ladder), bin_masses(model, n, spec)
+            for got, want in ((level.p_mass, fresh.p_mass), (level.q_mass, fresh.q_mass)):
+                assert got.tobytes() == want.tobytes()
+            cells = borel._cell_of(r, n)
+            count = np.bincount(cells, minlength=cell_count(n))
+            assert np.array_equal(level.q_mass, count / borel._MC_SAMPLES)
+            sums = np.bincount(cells, weights=r, minlength=cell_count(n)) / borel._MC_SAMPLES
+            assert np.all(np.abs(level.p_mass - sums) <= 2 * count * 2.0**-53 * sums)
+            assert not np.signbit(level.p_mass).any()
+        trace = estimate_kl(model, n_max, 1e-12, spec)
+        rows = []
+        for n in range(1, len(trace.levels) + 1):
+            level = bin_masses(model, n, spec)
+            rows.append((n, discretized_kl(level), level.occupied(), level.err_est))
+        assert trace.levels == tuple(rows)
 
     def test_changed_panels_are_bisected_afresh(self, monkeypatch):
         # level 4 halves a panel with level-3 crossings, so its panels with
@@ -1152,6 +1236,39 @@ class TestModels:
         found = re.search(r"ratio is (\S+) at x = (\S+),", str(info.value))
         assert found is not None and found[1] == shown
         assert 0.5 < float(found[2]) < 1.0
+
+    @pytest.mark.parametrize("family, params", [
+        ("gaussian", (0, 1, 1, 1)),
+        ("gaussian", (0, 1, 0, 2)),
+        ("gaussian", (0.3, 1.7, -1.1, 0.2)),
+        ("gaussian", (2, 3, -1, 1)),
+        ("exponential", (1, 2)),
+        ("exponential", (3, 1)),
+        ("exponential", (0.7, 0.7)),
+    ])
+    def test_builtins_match_their_plain_expressions(self, family, params):
+        # the built-in models evaluate in place; every output bit equals
+        # the plain expressions', on floats and integers, 1-D, 2-D,
+        # non-contiguous and 0-d, and the input is left alone
+        model = MODEL_REGISTRY[family](*params)
+        plain = {"gaussian": plain_gaussian_model, "exponential": plain_exponential_model}[family](*params)
+        rng = np.random.default_rng(4)
+        inputs = [
+            rng.normal(0, 3, 500),
+            rng.normal(0, 30, (7, 300)),
+            rng.normal(0, 5, (40, 30))[::2, 1::3],
+            np.array([-INF, INF, math.nan, -0.0, 0.0, 5e-324, 1e-160, 1e154, 2e154, -1e300]),
+            np.arange(-40, 40),
+            np.arange(-50, 50).reshape(10, 10)[:, ::3],
+            np.array(0.5),
+            np.array(-2),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in inputs:
+                before = x.copy()
+                for got, want in zip((model.base_density, model.ratio), plain, strict=True):
+                    assert np.asarray(got(x)).tobytes() == np.asarray(want(x)).tobytes()
+                assert before.tobytes() == x.tobytes()
 
     def test_parameter_validation(self):
         with pytest.raises(DomainMismatchError):
