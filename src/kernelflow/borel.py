@@ -165,13 +165,17 @@ class DensityModel:
                 )
 
     def quad_interval(self) -> tuple[float, float]:
-        if self.truncation is not None:
-            return self.truncation
-        if not all(map(math.isfinite, self.support)):
+        lo, hi = self.truncation if self.truncation is not None else self.support
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainMismatchError(
                 f"model {self.name!r} has unbounded support and no truncation interval"
             )
-        return self.support
+        if not math.isfinite(hi - lo):
+            # the panel grid and the error budget both divide this width
+            raise DomainMismatchError(
+                f"model {self.name!r}: working interval [{lo}, {hi}] is wider than the largest float"
+            )
+        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -320,7 +324,9 @@ def _bin_masses_quad(model: DensityModel, n: int, ladder: _Ladder) -> PartitionL
     a, b, r_a, r_b, err = _monotone_panels(model, lo, hi, n)
     cuts, cut_err = _crossings(model, a, b, r_a, r_b, n, ladder)
     err += cut_err
-    breaks = np.sort(np.concatenate([a, [hi], cuts]))
+    # the panel starts and each panel's cuts come as sorted runs, which a
+    # stable sort merges
+    breaks = np.sort(np.concatenate([a, [hi], cuts]), kind="stable")
     err += _integrate(model, breaks, n, q_mass, p_mass)
 
     # q and p are probability measures; a truncation may leave out 1e-10
@@ -442,15 +448,19 @@ def _crossings(model: DensityModel, a, b, r_a, r_b, n: int, ladder: _Ladder):
     _require_room(total, n)
     start = np.cumsum(count) - count
     panel = np.repeat(np.arange(a.size), count)
-    j = np.arange(total) + (np.minimum(c_a, c_b) + 1 - start)[panel]
+    first = np.minimum(c_a, c_b) + 1
+    j = np.arange(total) + (first - start)[panel]
     cuts = np.empty(total)
     terms = np.empty(total)
-    # level n - 1's crossings, in order (see the module docstring)
-    old = ((j & 1) == 0) & (j <= (n - 1) << n)
-    has = np.bincount(panel[old], minlength=a.size) > 0
+    # level n - 1's crossings, in order (see the module docstring): edges
+    # j that are even and at most (n - 1) 2^n, so a panel holds one when
+    # its least even edge does not pass its greatest edge or that bound
+    has = np.minimum(np.maximum(c_a, c_b), (n - 1) << n) >= first + (first & 1)
     new = np.ones(total, dtype=bool)
     if ladder.n == n - 1 and np.array_equal(a[has], ladder.a) and np.array_equal(b[has], ladder.b):
-        cuts[old], terms[old] = ladder.cuts, ladder.terms
+        old = ((j & 1) == 0) & (j <= (n - 1) << n)
+        kept = np.flatnonzero(old)
+        cuts[kept], terms[kept] = ladder.cuts, ladder.terms
         new = ~old
 
     def block(s):
@@ -568,13 +578,14 @@ def _gauss(model: DensityModel, a, b, n: int):
     ratio and their product are evaluated there only; the midpoint is a
     node too.  A break at a located crossing is the first float past it, so
     the float before b is still on the interval's side.  The model is
-    called on _GAUSS_BLOCK intervals at a time.  The nodes are laid out
-    node-major, one row per node and one column per interval, so every sum
-    and test reduces down the rows.  Summing along axis 0 adds the weighted
-    rows in node order, as a sum along one interval's row of nodes would,
-    so an interval's sums do not depend on the block's shape.  A model
-    that fails is checked through the transpose, so the first bad value
-    named is the first in (interval, node) order.
+    called on _GAUSS_BLOCK intervals at a time, the ratio once per block on
+    9 rows: the 7 nodes, each a and the float before each b, one column per
+    interval, so every sum and test reduces down the rows.  Summing along
+    axis 0 adds the weighted rows in node order, as a sum along one
+    interval's row of nodes would, so an interval's sums do not depend on
+    the block's shape.  A model that fails is checked through the
+    transpose, nodes before ends, so the first bad value named is the first
+    in (interval, node) order, or else in (interval, end) order.
     """
     out = np.empty((3, a.size))
     cells = np.empty(a.size, dtype=np.int64)
@@ -583,37 +594,33 @@ def _gauss(model: DensityModel, a, b, n: int):
     def block(s):
         lo, hi = a[s:s + _GAUSS_BLOCK], b[s:s + _GAUSS_BLOCK]
         half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
-        nodes = mid + half * _K7_X[:, None]
-        ends = np.stack([lo, np.nextafter(hi, lo)])
-        r, r_min, r_max = _ratio_range(model, nodes)
-        _, e_min, e_max = _ratio_range(model, ends)
+        xs = np.empty((9, lo.size))
+        nodes = np.multiply(_K7_X[:, None], half, out=xs[:7])
+        nodes += mid
+        xs[7] = lo
+        np.nextafter(hi, lo, out=xs[8])
+        r = model.ratio(xs)
+        r_min, r_max = r.min(axis=0), r.max(axis=0)
+        if not (r_min.min() >= 0 and r_max.max() < INF):  # a NaN fails both
+            for rows in (slice(0, 7), slice(7, 9)):
+                _checked(model, xs[rows].T, "ratio", r[rows].T)
+        c = _cell_of(r[3], n)
         q = _checked(model, nodes.T, "base density", model.base_density(nodes).T).T
-        p = q * r
+        p = q * r[:7]
         if not p.max() < INF:  # finite nonnegative q and r give no NaN
             _checked(model, nodes.T, "ratio * base density", p.T)
-        q7, p7 = half * (q * _K7_W[:, None]).sum(axis=0), half * (p * _K7_W[:, None]).sum(axis=0)
-        q3 = half * (q[1::2] * _G3_W[:, None]).sum(axis=0)
-        p3 = half * (p[1::2] * _G3_W[:, None]).sum(axis=0)
-        c = _cell_of(r[3], n)
+        sums = np.empty((7, lo.size))
+        q7 = half * np.multiply(q, _K7_W[:, None], out=sums).sum(axis=0)
+        p7 = half * np.multiply(p, _K7_W[:, None], out=sums).sum(axis=0)
+        q3 = half * np.multiply(q[1::2], _G3_W[:, None], out=sums[:3]).sum(axis=0)
+        p3 = half * np.multiply(p[1::2], _G3_W[:, None], out=sums[:3]).sum(axis=0)
         cells[s:s + _GAUSS_BLOCK] = c
-        stray[s:s + _GAUSS_BLOCK] = ~_in_cell(np.minimum(r_min, e_min), np.maximum(r_max, e_max), c, n)
+        stray[s:s + _GAUSS_BLOCK] = ~_in_cell(r_min, r_max, c, n)
         out[:, s:s + _GAUSS_BLOCK] = q7, p7, np.abs(q7 - q3) + np.abs(p7 - p3)
 
     _map_blocks(block, a.size, _GAUSS_BLOCK)
     q7, p7, diff = out
     return q7, p7, diff, cells, stray
-
-
-def _ratio_range(model: DensityModel, xs):
-    """The ratio at node-major xs, with each column's least and greatest
-    value, after checking through them that every value is finite and
-    nonnegative (a NaN passes to both); a model that fails is checked
-    through the transpose, as _checked is."""
-    r = model.ratio(xs)
-    r_min, r_max = r.min(axis=0), r.max(axis=0)
-    if not (r_min.min() >= 0 and r_max.max() < INF):
-        _checked(model, xs.T, "ratio", r.T)
-    return r, r_min, r_max
 
 
 def _checked(model: DensityModel, xs, what: str, values):
@@ -756,27 +763,45 @@ def gaussian_model(
     if sigma1 <= 0 or sigma2 <= 0:
         raise DomainMismatchError("standard deviations must be positive")
 
-    # Both densities work in place on float arrays of their own, in the
-    # order of the plain expressions (-0.5 * z * z for q, and
-    # (sigma2 / sigma1) * exp(0.5 * (z2 * z2 - z1 * z1)) for the ratio,
-    # with z = (x - mu) / sigma), so they give the same bits
+    # Both densities are one in-place exp of a polynomial in t = x - mu2.
+    # With s = 1 / sigma and d = (mu2 - mu1) s1,
+    #   log q = -(ln sigma2 + ln(2 pi) / 2) - (t s2)^2 / 2,
+    #   log r = c + t (b + a t),  a = (s2 - s1)(s2 + s1) / 2,  b = -d s1,
+    #   c = ln sigma2 - ln sigma1 - d^2 / 2.
+    # As the difference of two squares, 0.5 (z2^2 - z1^2), log r would
+    # carry a rounding error like x^2 eps even where it is small itself, and
+    # the float ratio would not be monotone across consecutive floats.  Here
+    # the quadratic coefficient a vanishes with equal sigmas, a == 0 takes
+    # t b alone, and every step is then a monotone rounding, so the float
+    # ratio is monotone.  The coefficients use +, -, *, / and logs of
+    # positive floats, which give inf or nan instead of raising for any
+    # positive sigma.
+    s1, s2 = 1 / sigma1, 1 / sigma2
+    delta = (mu2 - mu1) * s1
+    a = 0.5 * (s2 - s1) * (s2 + s1)
+    b = -delta * s1
+    c = (math.log(sigma2) - math.log(sigma1)) - 0.5 * delta * delta
+    q_log_norm = -(math.log(sigma2) + 0.5 * math.log(2 * math.pi))
+
     def q_density(x):
-        z = _standardized(x, mu2, sigma2)
-        w = np.multiply(-0.5, z, out=np.empty_like(z))
-        w *= z
+        w = np.subtract(x, mu2, out=np.empty(np.shape(x)))
+        w *= s2
+        w *= w
+        w *= -0.5
+        w += q_log_norm
         np.exp(w, out=w)
-        w /= sigma2 * math.sqrt(2 * math.pi)
         return w
 
     def ratio(x):
-        z1 = _standardized(x, mu1, sigma1)
-        z1 *= z1
-        w = _standardized(x, mu2, sigma2)
-        w *= w
-        w -= z1
-        w *= 0.5
+        t = np.subtract(x, mu2, out=np.empty(np.shape(x)))
+        if a == 0:
+            w = np.multiply(t, b, out=t)
+        else:
+            w = np.multiply(t, a, out=np.empty_like(t))
+            w += b
+            w *= t
+        w += c
         np.exp(w, out=w)
-        w *= sigma2 / sigma1
         return w
 
     def sampler(rng, size):
@@ -790,13 +815,6 @@ def gaussian_model(
         truncation=truncation,
         sampler=sampler,
     )
-
-
-def _standardized(x, mu, sigma) -> np.ndarray:
-    """(x - mu) / sigma as a new float array, computed as the expression is."""
-    z = np.subtract(x, mu, out=np.empty(np.shape(x)))
-    z /= sigma
-    return z
 
 
 def gaussian_kl(mu1: float, sigma1: float, mu2: float, sigma2: float) -> float:

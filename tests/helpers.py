@@ -382,16 +382,21 @@ def interval_major_gauss(model: DensityModel, a, b, n: int):
 
 def plain_gaussian_model(mu1, sigma1, mu2, sigma2):
     """borel.gaussian_model's q and ratio as the plain expressions it
-    evaluates in place, kept as bit-for-bit references."""
+    evaluates in place, exps of polynomials in t = x - mu2, kept as
+    bit-for-bit references."""
+    s1, s2 = 1 / sigma1, 1 / sigma2
+    delta = (mu2 - mu1) * s1
+    a = 0.5 * (s2 - s1) * (s2 + s1)
+    b = -delta * s1
+    c = (math.log(sigma2) - math.log(sigma1)) - 0.5 * delta * delta
 
     def q_density(x):
-        z = (x - mu2) / sigma2
-        return np.exp(-0.5 * z * z) / (sigma2 * math.sqrt(2 * math.pi))
+        z = (x - mu2) * s2
+        return np.exp(-0.5 * (z * z) + -(math.log(sigma2) + 0.5 * math.log(2 * math.pi)))
 
     def ratio(x):
-        z1 = (x - mu1) / sigma1
-        z2 = (x - mu2) / sigma2
-        return (sigma2 / sigma1) * np.exp(0.5 * (z2 * z2 - z1 * z1))
+        t = x - mu2
+        return np.exp(t * b + c) if a == 0 else np.exp(t * (a * t + b) + c)
 
     return q_density, ratio
 

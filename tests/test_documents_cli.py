@@ -4,13 +4,16 @@ Exit codes: 0 success, 1 semantic failure, 2 parse failure, 3 numeric
 tolerance, 4 indeterminate arithmetic.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -825,6 +828,18 @@ class TestEstimateKlCommand:
         assert "Traceback" not in err and "Warning" not in err
         assert not recwarn.list
 
+    @pytest.mark.parametrize("model", [
+        ["gaussian", "0", "1", "0", "1", "--truncate", "-1e308", "1e308"],
+        ["piecewise v1\npiece -1e308 0 5e-309 1\npiece 0 1e308 5e-309 1\n"],
+    ], ids=["truncation", "piecewise"])
+    def test_working_interval_wider_than_a_float_is_an_input_error(self, capsys, tmp_path, model):
+        # hi - lo overflows: these ended in "ratio is nan at x = -1e+308"
+        # (exit 1, blaming the model) and in the live-interval cap (exit 3)
+        code, out, err = run(capsys, "estimate-kl", *with_files(tmp_path, model), "--nmax", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: model ") and err.count("\n") == 1
+        assert err.endswith(": working interval [-1e+308, 1e+308] is wider than the largest float\n")
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_bad_stop_tolerance_is_an_input_error(self, capsys, tol):
         # nan used to run every level and exit 3 with "converged: no"; inf
@@ -986,6 +1001,68 @@ INFINITY_CASES = {
 def test_infinities_are_printed(capsys, tmp_path, case):
     argv, want_out = INFINITY_CASES[case]
     assert run(capsys, *with_files(tmp_path, argv)) == (0, want_out, "")
+
+
+# numbers at the edges of the float range and past them
+FINITE_NUMBERS = ["0", "1", "-1", "0.1", "5e-324", "1e-300", "1e-160", "1e160", "1e300",
+                  "1e308", "-1e308"]
+HOSTILE_NUMBERS = FINITE_NUMBERS + ["nan", "inf", "-inf"]
+ARITY = {"gaussian": 4, "exponential": 2, "uniform-pair": 4}
+
+
+@st.composite
+def estimate_kl_argvs(draw):
+    """An estimate-kl argv: a model with one parameter too few, too many
+    or the right number (for the gaussian, possibly with equal sigmas), an
+    optional truncation, --nmax 1 to 4 and an optional --tol.  Parameters
+    and truncation ends come from HOSTILE_NUMBERS, or for half the
+    examples from its finite numbers only, so that most models get built."""
+    number = st.sampled_from(draw(st.sampled_from([FINITE_NUMBERS, HOSTILE_NUMBERS])))
+    name = draw(st.sampled_from(sorted(ARITY)))
+    count = ARITY[name] + draw(st.sampled_from([0, 0, -1, 1]))  # right half the time
+    params = draw(st.lists(number, min_size=count, max_size=count))
+    if name == "gaussian" and count == 4 and draw(st.booleans()):
+        params[3] = params[1]
+    argv = ["estimate-kl", name, *params, "--nmax", str(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        argv += ["--truncate", draw(number), draw(number)]
+    if draw(st.booleans()):
+        argv += ["--tol", draw(st.sampled_from(["1e-4", "1e-12", "0.5", *HOSTILE_NUMBERS]))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(estimate_kl_argvs())
+@example(["estimate-kl", "gaussian", "5e-324", "1", "13", "1e-300", "--truncate", "-1", "3", "--nmax", "1"])
+@example(["estimate-kl", "gaussian", "0", "1", "0", "1", "--truncate", "-1e308", "1e308", "--nmax", "1"])
+def check_estimate_kl_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            assert exc.code == 2, argv
+            code = 2
+    assert time.perf_counter() - start < 2.0, argv
+    out, err = out.getvalue(), err.getvalue()
+    assert code in range(5), argv
+    if code == 3 and out.endswith("converged: no\n"):
+        assert err == "", argv
+    elif code:
+        assert err.startswith(("error:", "parse error:", "usage:")), (argv, err)
+        assert "Traceback" not in err, argv
+    assert "nan" not in out, argv
+
+
+def test_estimate_kl_argvs_end_in_exit_codes():
+    # every argv ends in a result or a typed error with exit code 0-4:
+    # no raw exception (a ZeroDivisionError from 0.5 / (sigma * sigma) at
+    # sigma = 1e-300, say), no numpy warning and no nan on stdout
+    start = time.perf_counter()
+    check_estimate_kl_exit_codes()
+    assert time.perf_counter() - start < 5.0
 
 
 class TestScoreCommand:
