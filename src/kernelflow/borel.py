@@ -771,11 +771,15 @@ def gaussian_model(
     # As the difference of two squares, 0.5 (z2^2 - z1^2), log r would
     # carry a rounding error like x^2 eps even where it is small itself, and
     # the float ratio would not be monotone across consecutive floats.  Here
-    # the quadratic coefficient a vanishes with equal sigmas, a == 0 takes
-    # t b alone, and every step is then a monotone rounding, so the float
-    # ratio is monotone.  The coefficients use +, -, *, / and logs of
-    # positive floats, which give inf or nan instead of raising for any
-    # positive sigma.
+    # the quadratic coefficient a vanishes with equal sigmas, which makes the
+    # exponent exactly linear on its own (t 0 + b is b exactly), every step
+    # is then a monotone rounding, and so is the float ratio.  The price is
+    # a scale-dependent error: c and log q add logs of the sigmas, so their
+    # absolute error is about |ln sigma| eps, and the relative error of r and
+    # q grows from about eps at sigma near 1 to about 1e-13 at sigma = 1e300
+    # (ln 1e300 is 690.8, whose half-ulp is 5.7e-14).  The coefficients use
+    # +, -, *, / and logs of positive floats, which give inf or nan instead
+    # of raising for any positive sigma.
     s1, s2 = 1 / sigma1, 1 / sigma2
     delta = (mu2 - mu1) * s1
     a = 0.5 * (s2 - s1) * (s2 + s1)
@@ -794,12 +798,9 @@ def gaussian_model(
 
     def ratio(x):
         t = np.subtract(x, mu2, out=np.empty(np.shape(x)))
-        if a == 0:
-            w = np.multiply(t, b, out=t)
-        else:
-            w = np.multiply(t, a, out=np.empty_like(t))
-            w += b
-            w *= t
+        w = np.multiply(t, a, out=np.empty_like(t))
+        w += b
+        w *= t
         w += c
         np.exp(w, out=w)
         return w

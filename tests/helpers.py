@@ -396,7 +396,7 @@ def plain_gaussian_model(mu1, sigma1, mu2, sigma2):
 
     def ratio(x):
         t = x - mu2
-        return np.exp(t * b + c) if a == 0 else np.exp(t * (a * t + b) + c)
+        return np.exp(t * (a * t + b) + c)
 
     return q_density, ratio
 
