@@ -755,11 +755,26 @@ def estimate_kl(
 # Built-in models addressable by name
 
 
+def _require_finite(**params: float) -> None:
+    """Refuse the first non-finite parameter by name: a comparison such as
+    sigma <= 0 is false for nan, so a nan or infinite parameter would
+    otherwise build a model whose ratio is nan.  An int past the float
+    range is not finite either."""
+    for name, value in params.items():
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise DomainMismatchError(f"{name} must be finite, got {value!r}")
+
+
 def gaussian_model(
     mu1: float, sigma1: float, mu2: float, sigma2: float,
     truncation: tuple[float, float] | None = None,
 ) -> DensityModel:
     """p = Normal(mu1, sigma1) against q = Normal(mu2, sigma2)."""
+    _require_finite(mu1=mu1, sigma1=sigma1, mu2=mu2, sigma2=sigma2)
     if sigma1 <= 0 or sigma2 <= 0:
         raise DomainMismatchError("standard deviations must be positive")
 
@@ -831,6 +846,7 @@ def exponential_model(
     lam1: float, lam2: float, truncation: tuple[float, float] | None = None
 ) -> DensityModel:
     """p = Exponential(lam1) against q = Exponential(lam2)."""
+    _require_finite(lam1=lam1, lam2=lam2)
     if lam1 <= 0 or lam2 <= 0:
         raise DomainMismatchError("rates must be positive")
 

@@ -111,17 +111,15 @@ def _distribution(
         raise DocumentParseError(f"{what}: {exc}", lineno)
 
 
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
-
-
 def _document_lines(text: str, tag: str) -> list[tuple[int, list[str]]]:
     """The (lineno, tokens) content lines of text, the first being its header,
-    which must read tag."""
-    lines = list(_content_lines(text))
+    which must read tag.  A line's tokens are what precedes its first "#",
+    split at whitespace; a line without any is not a content line."""
+    lines = [
+        (lineno, tokens)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (tokens := raw.partition("#")[0].split())
+    ]
     if not lines or lines[0][1] != tag.split():
         raise DocumentParseError(f"expected header {tag!r}", lines[0][0] if lines else 1)
     return lines
@@ -321,14 +319,15 @@ def parse_forecast_log(text: str) -> ForecastLog:
             if space is not None:
                 raise DocumentParseError("outcomes declared twice", lineno)
             space = _space(tokens[1:], lineno)
+            # what each record line needs of the space, read once
+            points, index, expected = space.points, space._index, 4 + len(space)
         elif tokens[0] == "forecast":
             if space is None:
                 raise DocumentParseError("forecast before outcomes declaration", lineno)
-            expected = 4 + len(space)
             if len(tokens) != expected:
                 raise DocumentParseError(
                     f"forecast needs: forecast <round> <forecaster> <outcome> "
-                    f"and {len(space)} fractions",
+                    f"and {len(points)} fractions",
                     lineno,
                 )
             try:
@@ -336,7 +335,7 @@ def parse_forecast_log(text: str) -> ForecastLog:
             except ValueError:
                 raise DocumentParseError(f"bad round number {tokens[1]!r}", lineno)
             forecaster, outcome = tokens[2], tokens[3]
-            if outcome not in space:
+            if outcome not in index:
                 raise DocumentParseError(f"outcome {outcome!r} is not a declared point", lineno)
             if (rnd, forecaster) in seen:
                 raise DocumentParseError(
@@ -344,7 +343,7 @@ def parse_forecast_log(text: str) -> ForecastLog:
                 )
             seen.add((rnd, forecaster))
             masses = {}
-            for x, t in zip(space, tokens[4:]):
+            for x, t in zip(points, tokens[4:]):
                 m = known.get(t)
                 if m is None:
                     m = known[t] = _fraction(t, lineno)

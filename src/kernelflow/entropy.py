@@ -9,8 +9,17 @@ is inf - inf, which has no value and is rejected where it can arise
 (scoring.sequential_scores).  Each per-point
 term forms the probability ratio exactly, as a numerator and denominator
 of ints reduced by their gcd (the pair Fraction division would give,
-without its overhead), before a single double-precision log, so a
-morphism with an optimal hypothesis sums literal zeros.
+without its overhead), before a single double-precision log, and a point
+whose two masses are equal adds no term, so a morphism with an optimal
+hypothesis scores exactly 0.0.  One kernel, _kl, takes every such term as
+a row of ints, for this module and for scoring.
+
+The hypothesis applied to q is never built: (s . q)(x) = q(f x) s_{f x}(x).
+The sum over y of q(y) s_y(x) has that one term because the pair is
+coherent at every y, so each row s_y lives on the fiber over y and puts
+no mass on x unless y = f x.  The identity is exact, not q-almost
+everywhere, and re_fin and convex_decompose read the masses off the
+fibers.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainMismatchError
+from .finite import ZERO
 from .pairs import CoherentPair, compose_pairs
 
 INF = math.inf
@@ -27,30 +37,26 @@ _FUNCTORIALITY_TOL = 1e-10  # |residual| below which the identity holds
 _LSC_TOL = 1e-9  # how far the target may sit above the liminf estimate
 
 
-def _ln_ratio(num: int, den: int) -> float:
-    """ln(num / den) for positive ints in lowest terms: a log of each, so
-    no overflow for huge exact ratios, and exact 0.0 when they are equal."""
-    if num == den:
-        return 0.0
-    return math.log(num) - math.log(den)
+def _kl(rows) -> float:
+    """KL in nats of the weights an / ad against the masses mn / md, given
+    as int rows (an, ad, mn, md) with an > 0; inf at the first zero mass.
 
-
-def _kl(pairs, m) -> float:
-    """KL of the (point, mass) pairs against m, in nats; inf when m has no
-    mass at one of the points."""
+    Neither fraction need be in lowest terms: the ratio is reduced here,
+    and int true division rounds the weight correctly either way.
+    """
     terms = []
-    for x, a in pairs:
-        mx = m(x)
-        mn = mx.numerator
-        if mn == 0:
+    for an, ad, mn, md in rows:
+        if not mn:
             return INF
-        an, ad = a.numerator, a.denominator
-        # a / mx in lowest terms, as ints: the pair Fraction would hold
-        num = an * mx.denominator
+        num = an * md
         den = ad * mn
-        g = math.gcd(num, den)
-        # an / ad is float(a): one correctly rounded int division
-        terms.append(an / ad * _ln_ratio(num // g, den // g))
+        # equal masses add no term; fsum is exact, so a 0.0 would add nothing
+        if num != den:
+            # the ratio in lowest terms, the pair Fraction division would
+            # give, and a log of each int, so a huge exact ratio cannot
+            # overflow; an / ad is the weight's float, correctly rounded
+            g = math.gcd(num, den)
+            terms.append(an / ad * (math.log(num // g) - math.log(den // g)))
     return max(0.0, math.fsum(terms))
 
 
@@ -64,9 +70,20 @@ class ReValue:
 def re_fin(pair: CoherentPair) -> ReValue:
     """Relative entropy of a coherent pair: KL of p against s applied to q.
 
-    Infinite exactly when the pair is not absolutely coherent.
+    Infinite exactly when the pair is not absolutely coherent.  (s . q)(x)
+    is read off the fiber as q(f x) s_{f x}(x), without building s . q.
     """
-    return ReValue(_kl(pair.p.items(), pair.hypothesis_pushforward()))
+    f, q, rows = pair.f, pair.q.mass, pair.s.rows
+
+    def terms():
+        for x, px in pair.p.items():
+            y = f[x]
+            qy = q[y]
+            sx = rows[y].mass.get(x, ZERO)
+            yield (px.numerator, px.denominator,
+                   qy.numerator * sx.numerator, qy.denominator * sx.denominator)
+
+    return ReValue(_kl(terms()))
 
 
 @dataclass(frozen=True)
@@ -87,13 +104,18 @@ def convex_decompose(pair: CoherentPair) -> LocalReDecomposition:
     within accumulated log rounding when finite.  p's support is grouped
     into fibers once, so the cost is |supp p| + |Y|, not |X| * |Y|.
     """
-    fibers: dict[str, list[tuple[str, Fraction]]] = {}
+    rows = pair.s.rows
+    fibers: dict[str, list[tuple[int, int, int, int]]] = {}
     for x, px in pair.p.items():
-        fibers.setdefault(pair.f[x], []).append((x, px))
+        y = pair.f[x]
+        sx = rows[y].mass.get(x, ZERO)
+        fibers.setdefault(y, []).append((px.numerator, px.denominator, sx.numerator, sx.denominator))
     entries = []
     parts = []
     for y, qy in pair.q.items():
-        local = _kl(((x, px / qy) for x, px in fibers[y]), pair.s(y))
+        qn, qd = qy.numerator, qy.denominator
+        # p_y(x) = p(x) / q(y) as the ints pn qd over pd qn, not reduced
+        local = _kl((pn * qd, pd * qn, sn, sd) for pn, pd, sn, sd in fibers[y])
         entries.append((y, qy, local))
         # qy > 0, so an infinite local value makes the total infinite even
         # where float(qy) underflows to 0.0

@@ -81,32 +81,40 @@ class FiniteDistribution:
 
     def __init__(self, space: FiniteSpace, mass: Mapping[str, Fraction | int]):
         index = space._index
-        positive = []
-        nums, dens = [], []
+        support = {}
+        ordered, last = True, -1  # whether the positive points came in canonical order
+        # the masses sum to 1 when their numerators over a common
+        # denominator sum to it: one pass keeps num / common equal to the
+        # running sum, with int products instead of Fraction additions
+        num, common = 0, 1
         for label, value in mass.items():
-            if label not in index:
+            i = index.get(label)
+            if i is None:
                 raise DomainMismatchError(f"mass assigned to unknown point {label!r}")
-            m = _as_fraction(value)
-            num = m.numerator
-            if num < 0:
+            m = value if type(value) is Fraction else _as_fraction(value)
+            n = m.numerator
+            if n < 0:
                 raise DomainMismatchError("negative mass")
-            if num:
-                positive.append((index[label], label, m))
-                nums.append(num)
-                dens.append(m.denominator)
-        # the masses sum to 1 when their numerators over the common
-        # denominator sum to it: int products instead of Fraction additions
-        common = math.lcm(*dens)
-        if sum(num * (common // den) for num, den in zip(nums, dens)) != common:
-            total = sum((m for _, _, m in positive), ZERO)
+            if n:
+                support[label] = m
+                ordered = ordered and last < i
+                last = i
+                d = m.denominator
+                if common % d:
+                    lcm = math.lcm(common, d)
+                    num *= lcm // common
+                    common = lcm
+                num += n * (common // d)
+        if num != common:
             try:
-                shown = str(total)
+                shown = str(Fraction(num, common))
             except ValueError:  # more digits than int-to-str conversion allows
                 shown = "a fraction too long to print"
             raise DomainMismatchError(f"masses sum to {shown}, not 1")
-        positive.sort()
+        if not ordered:
+            support = dict(sorted(support.items(), key=lambda item: index[item[0]]))
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mass", {x: m for _, x, m in positive})
+        object.__setattr__(self, "mass", support)
 
     def __call__(self, label: str) -> Fraction:
         m = self.mass.get(label)
@@ -232,7 +240,8 @@ def kernel_apply(s: StochasticKernel, q: FiniteDistribution) -> FiniteDistributi
     out: dict[str, Fraction] = {}
     for y, qy in q.items():
         for x, m in s.rows[y].items():
-            out[x] = out.get(x, ZERO) + qy * m
+            prev = out.get(x)
+            out[x] = qy * m if prev is None else prev + qy * m
     return FiniteDistribution(s.target, out)
 
 

@@ -136,9 +136,14 @@ class CoherentPair:
 
 
 def is_absolutely_coherent(pair: CoherentPair) -> bool:
-    """Whether p is dominated by the reconstruction s applied to q."""
-    reconstructed = pair.hypothesis_pushforward()
-    return all(reconstructed(x) > 0 for x in pair.p.support())
+    """Whether p is dominated by the reconstruction s applied to q.
+
+    (s . q)(x) = q(f x) s_{f x}(x), exactly: coherence puts each row s_y
+    on the fiber over y, so only y = f x adds mass at x.  q(f x) >= p(x)
+    is positive on p's support, so the test is s_{f x}(x) > 0 there, and
+    s . q is not built.
+    """
+    return all(x in pair.s.rows[pair.f[x]].mass for x in pair.p.mass)
 
 
 def is_optimal(pair: CoherentPair) -> bool:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .entropy import INF, _kl, _ln_ratio
+from .entropy import INF, _kl
 from .errors import DomainMismatchError, IndeterminateScoreError
-from .finite import FiniteDistribution, FiniteSpace
+from .finite import ZERO, FiniteDistribution, FiniteSpace
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,8 @@ def empirical_log_score(log: Sequence[ForecastRecord]) -> ScoreReport:
             raise DomainMismatchError(f"duplicate round {rec.round}")
         seen.add(rec.round)
         mass = rec.forecast(rec.outcome)
-        # 0.0 - x, not -x: a mass of 1 scores 0.0, not -0.0
-        score = INF if mass == 0 else 0.0 - _ln_ratio(mass.numerator, mass.denominator)
-        rows.append((rec.round, score))
+        # -ln q(outcome) is the KL of the point mass at the outcome against q
+        rows.append((rec.round, _kl(((1, 1, mass.numerator, mass.denominator),))))
     return ScoreReport(tuple(rows))
 
 
@@ -79,9 +78,25 @@ def kl_score(truth: FiniteDistribution, forecast: FiniteDistribution) -> float:
     hypothesis applied to the point mass on its one target point is the
     forecast itself, so the KL is computed here directly.
     """
-    if truth.space != forecast.space:
-        raise DomainMismatchError("distributions live on different spaces")
-    return _kl(truth.items(), forecast)
+    return _kl_scorer(truth)(forecast)
+
+
+def _kl_scorer(truth: FiniteDistribution) -> Callable[[FiniteDistribution], float]:
+    """kl_score(truth, .), with truth split into ints once for all forecasts."""
+    space = truth.space
+    split = [(x, t.numerator, t.denominator) for x, t in truth.items()]
+
+    def score(forecast: FiniteDistribution) -> float:
+        if forecast.space != space:
+            raise DomainMismatchError("distributions live on different spaces")
+        mass = forecast.mass
+        rows = []
+        for x, tn, td in split:
+            m = mass.get(x, ZERO)
+            rows.append((tn, td, m.numerator, m.denominator))
+        return _kl(rows)
+
+    return score
 
 
 def sequential_scores(
@@ -97,7 +112,8 @@ def sequential_scores(
     """
     if not forecasts:
         raise DomainMismatchError("need at least one forecast")
-    scores = [kl_score(truth, q) for q in forecasts]
+    score = _kl_scorer(truth)
+    scores = [score(q) for q in forecasts]
     out = [scores[0]]
     for i in range(1, len(scores)):
         prev, cur = scores[i - 1], scores[i]

@@ -1307,6 +1307,19 @@ class TestModels:
         with pytest.raises(DomainMismatchError):
             uniform_pair_model(0, 2, 1, 3)  # p not inside q
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "huge-int"])
+    @pytest.mark.parametrize("builder, params", [
+        (gaussian_model, {"mu1": 0.0, "sigma1": 1.0, "mu2": 0.0, "sigma2": 1.0}),
+        (exponential_model, {"lam1": 1.0, "lam2": 2.0}),
+    ])
+    def test_non_finite_parameters_are_refused_by_name(self, builder, params, bad):
+        # sigma <= 0 and lam <= 0 are false for nan, so these models used
+        # to be built and fail at their first level, blaming the ratio
+        for name in params:
+            with pytest.raises(DomainMismatchError, match=f"^{name} must be finite, got {bad!r}$"):
+                builder(**{**params, name: bad}, truncation=(-10.0, 10.0))
+
     def test_uniform_pair_monte_carlo_ladder(self):
         # U[0, 1] || U[0, 2]: the ratio takes the values 2 and 0 only
         trace = estimate_kl(uniform_pair_model(0, 1, 0, 2), 6, 1e-6,

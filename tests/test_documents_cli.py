@@ -10,8 +10,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from fractions import Fraction
@@ -44,6 +46,8 @@ from kernelflow.finite import (
 )
 from kernelflow.pairs import CoherentPair
 from kernelflow.scoring import ForecastRecord
+
+from helpers import fraction_kl, ln_fraction
 
 COIN_DOC = """\
 morphism v1
@@ -984,6 +988,24 @@ forecast 3 alice H 1 0
 forecast 4 alice H 1/3 2/3
 """
 
+# three forecasters, their records interleaved and out of round order;
+# every mass is positive, so every score is finite
+THREE_FORECASTERS_LOG = """\
+forecast-log v1
+outcomes H T E
+forecast 3 carol E 1/6 1/3 1/2
+forecast 1 bob H 1/2 1/4 1/4
+forecast 2 alice T 1/3 1/3 1/3
+forecast 1 carol H 3/5 1/5 1/5
+forecast 3 alice H 2/5 2/5 1/5
+forecast 2 bob E 1/8 5/8 1/4
+forecast 1 alice E 1/10 3/10 3/5
+forecast 2 carol T 1/7 4/7 2/7
+forecast 3 bob T 1/9 7/9 1/9
+"""
+
+THREE_OUTCOME_TRUTH = "distribution v1\nspace H T E\nmass H 1/2\nmass T 1/3\nmass E 1/6\n"
+
 # (argv, stdout) of commands that print an infinite value
 INFINITY_CASES = {
     "re": (["re", NOT_ABS_COHERENT_DOC], "RE = inf\n"),
@@ -1076,6 +1098,125 @@ def test_estimate_kl_argvs_end_in_exit_codes():
     slowest, argv = max(EXIT_CODE_TIMES)
     assert total < 5.0, (f"{len(EXIT_CODE_TIMES)} examples took {total:.2f} s, the slowest "
                          f"{slowest:.2f} s: {' '.join(argv)}")
+
+
+# tokens that break a document in every way its readers must survive: a
+# zero denominator, a number past the float range, a nan, a non-ASCII
+# letter, an underscore, a 50-digit number and every directive name
+HOSTILE_TOKENS = ["1/0", "1e400", "nan", "é", "1_0", "9" * 50,
+                  "space", "map", "p", "q", "s", "mass", "outcomes", "forecast", "piece"]
+
+# each document the mutations start from, with the commands that read it;
+# "{}" stands for the mutated document's path
+MUTATED_DOCS = {
+    "coin": (COIN_DOC, [["validate", "{}"], ["re", "{}"], ["re", "{}", COLLAPSE_DOC],
+                        ["decompose", "{}"], ["score", "{}", "--mode", "conditional"]]),
+    "log": (FORECAST_LOG, [["score", "{}", "--mode", "empirical"],
+                           ["score", "{}", "--mode", "sequential", "--truth", TRUTH_DOC]]),
+    "seq": (SEQ_LOG, [["score", "{}", "--mode", "empirical"],
+                      ["score", "{}", "--mode", "sequential", "--truth", TRUTH_DOC]]),
+    "truth": (TRUTH_DOC, [["score", SEQ_LOG, "--mode", "sequential", "--truth", "{}"]]),
+    "piecewise": (PIECEWISE_DOC, [["estimate-kl", "{}", "--nmax", "3"]]),
+}
+
+
+@st.composite
+def mutated_documents(draw):
+    """(name, text): one of MUTATED_DOCS with one to three mutations, each
+    deleting or duplicating a line, or inserting, replacing or deleting a
+    token, with a token from HOSTILE_TOKENS.  Half the token edits hit a
+    line's last token, which is a mass or a number on most lines."""
+    name = draw(st.sampled_from(sorted(MUTATED_DOCS)))
+    lines = MUTATED_DOCS[name][0].splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        edit = draw(st.sampled_from(
+            ["delete line", "duplicate line", "insert", "replace", "delete"]))
+        if edit == "delete line":
+            del lines[i]
+            continue
+        if edit == "duplicate line":
+            lines.insert(i, lines[i])
+            continue
+        if edit == "insert" or not tokens:
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(HOSTILE_TOKENS)))
+        else:
+            j = draw(st.one_of(st.just(len(tokens) - 1), st.integers(0, len(tokens) - 1)))
+            if edit == "replace":
+                tokens[j] = draw(st.sampled_from(HOSTILE_TOKENS))
+            else:
+                del tokens[j]
+        lines[i] = " ".join(tokens)
+    return name, "".join(line + "\n" for line in lines)
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of main(argv), with numpy warnings raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+MUTATION_TIMES = []  # (seconds, document name) of every example run
+# every value the finite commands print follows ":", "=" or "vs"
+NAN_VALUE = re.compile(r"(?:[:=]|vs) nan\b")
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(mutated_documents())
+@example(("coin", COIN_DOC.replace("p HH 1/4", "p HH 1/0")))
+@example(("truth", TRUTH_DOC.replace("space H T", "space H T é")))
+@example(("piecewise", PIECEWISE_DOC + "piece 0 1/2 1 3/2\n"))
+def check_mutated_documents(mutated):
+    name, text = mutated
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        path = tmp_path / "mutated.txt"
+        path.write_text(text)
+        for argv in MUTATED_DOCS[name][1]:
+            argv = with_files(tmp_path, [str(path) if a == "{}" else a for a in argv])
+            code, out, err = run_in_process(argv)
+            assert code in range(5), argv
+            if code == 1 and argv[0] == "validate" and out.startswith("coherent: no\n"):
+                assert err == "", (argv, err)
+            elif code == 3 and argv[0] == "estimate-kl" and out.endswith("converged: no\n"):
+                assert err == "", (argv, err)
+            elif code:
+                assert err.startswith(("error: ", "parse error: line ")), (argv, err)
+                assert err.count("\n") == 1, (argv, err)
+            else:
+                assert err == "", (argv, err)
+            # estimate-kl prints no labels; elsewhere "nan" may be a point or
+            # forecaster name, so look for it as a value only
+            assert "nan" not in out if argv[0] == "estimate-kl" else not NAN_VALUE.search(out), argv
+    elapsed = time.perf_counter() - start
+    MUTATION_TIMES.append((elapsed, name))
+    assert elapsed < 2.0, f"{name} took {elapsed:.2f} s: {text!r}"
+
+
+def test_mutated_documents_end_in_exit_codes():
+    # the document half of the exit-code probe: every command on every
+    # mutated document ends in a result or a typed error with exit code 0-4,
+    # and no exception escapes main.  The unmutated documents run once
+    # before the clock starts, which loads what estimate-kl imports.
+    for name, (text, argvs) in MUTATED_DOCS.items():
+        for argv in argvs:
+            with tempfile.TemporaryDirectory() as tmp:
+                argv = with_files(Path(tmp), [text if a == "{}" else a for a in argv])
+                assert run_in_process(argv)[0] == 0, (name, argv)
+    MUTATION_TIMES.clear()
+    start = time.perf_counter()
+    check_mutated_documents()
+    total = time.perf_counter() - start
+    slowest, name = max(MUTATION_TIMES)
+    assert total < 5.0, (f"{len(MUTATION_TIMES)} examples took {total:.2f} s, the slowest "
+                         f"{slowest:.2f} s on a mutated {name!r}")
 
 
 class TestScoreCommand:
@@ -1189,6 +1330,39 @@ class TestScoreCommand:
         code, out, err = run(capsys, "score", *argv)
         assert (code, out) == (4, "")
         assert err == f"error: indeterminate increment: {named} are both infinite\n"
+
+    def test_empirical_groups_interleaved_forecasters(self, capsys, tmp_path):
+        # one pass groups the records; the output keeps forecasters sorted
+        # and each one's rounds ascending, whatever the log's order
+        records = parse_forecast_log(THREE_FORECASTERS_LOG).records
+        want_out, want_reports = [], []
+        for name in ("alice", "bob", "carol"):
+            mine = sorted((r for r in records if r.forecaster == name), key=lambda r: r.round)
+            scores = [0.0 - ln_fraction(r.forecast(r.outcome)) for r in mine]
+            want_out += [f"{name}, round {r.round}: {s:.9g}" for r, s in zip(mine, scores)]
+            want_out.append(f"{name}, total: {math.fsum(scores):.9g}")
+            want_reports.append({"forecaster": name,
+                                 "per_round": [[r.round, s] for r, s in zip(mine, scores)],
+                                 "total": math.fsum(scores)})
+        summary = tmp_path / "summary.json"
+        argv = with_files(tmp_path, [THREE_FORECASTERS_LOG, "--mode", "empirical",
+                                     "--summary", str(summary)])
+        assert run(capsys, "score", *argv) == (0, "\n".join(want_out) + "\n", "")
+        assert json.loads(summary.read_text()) == {"mode": "empirical", "reports": want_reports}
+
+    def test_sequential_scores_interleaved_forecasters(self, capsys, tmp_path):
+        # the truth is split into ints once for all forecasts; each score
+        # is still the Fraction-division reference's, bit for bit
+        truth = parse_distribution(THREE_OUTCOME_TRUTH)
+        records = sorted(parse_forecast_log(THREE_FORECASTERS_LOG).records,
+                         key=lambda r: (r.round, r.forecaster))
+        full = [fraction_kl(truth.items(), r.forecast) for r in records]
+        scores = [full[0]] + [a - b for a, b in zip(full, full[1:])]
+        want = [f"round {r.round}, {r.forecaster}: {s:.9g}" for r, s in zip(records, scores)]
+        want.append(f"telescoped check: {math.fsum(scores[1:]):.9g} vs {full[0] - full[-1]:.9g}")
+        argv = with_files(tmp_path, [THREE_FORECASTERS_LOG, "--mode", "sequential",
+                                     "--truth", THREE_OUTCOME_TRUTH])
+        assert run(capsys, "score", *argv) == (0, "\n".join(want) + "\n", "")
 
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_unwritable_summary_is_an_error(self, capsys, tmp_path, docs, where):

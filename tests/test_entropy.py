@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelflow.entropy import (
@@ -352,6 +352,29 @@ class TestIntegerKl:
         want = [INF if r.forecast(r.outcome) == 0 else 0.0 - ln_fraction(r.forecast(r.outcome))
                 for r in records]
         assert bits(s for _, s in empirical_log_score(records).per_round) == bits(want)
+
+
+class TestFiberReading:
+    """re_fin and is_absolutely_coherent read (s . q)(x) off the fiber as
+    q(f x) s_{f x}(x); pinned against s applied to q, which they replaced."""
+
+    @given(exact_pairs())
+    @settings(max_examples=100, deadline=None)
+    # exact_pairs draws a zero at a point of positive p in about one pair of
+    # twelve; this one is such a pair, so both answers are always checked
+    @example(CoherentPair(
+        {"x1": "y", "x2": "y"},
+        StochasticKernel(FiniteSpace(("y",)), X2, {"y": FiniteDistribution(X2, {"x1": 1})}),
+        uniform(X2),
+    ))
+    def test_matches_the_reconstruction(self, pair):
+        reconstructed = pair.hypothesis_pushforward()
+        for x in pair.p.support():
+            y = pair.f[x]
+            assert reconstructed(x) == pair.q(y) * pair.s(y)(x)
+        absolutely = all(reconstructed(x) > 0 for x in pair.p.support())
+        assert is_absolutely_coherent(pair) == absolutely
+        assert (re_fin(pair).value == INF) == (not absolutely)
 
 
 class TestFunctoriality:

@@ -152,6 +152,31 @@ class TestSpacesAndDistributions:
             FiniteDistribution(AB, {"a": mass, "b": Fraction(1, 2)})
         assert str(err.value) == f"expected an exact rational, got {type(mass).__name__}"
 
+    @pytest.mark.parametrize(
+        "mass, error, message",
+        [
+            ({"a": Fraction(-1, 2), "z": Fraction(3, 2)}, DomainMismatchError, "negative mass"),
+            ({"z": Fraction(3, 2), "a": Fraction(-1, 2)}, DomainMismatchError,
+             "mass assigned to unknown point 'z'"),
+            ({"a": Fraction(-1, 2), "b": 0.5}, DomainMismatchError, "negative mass"),
+            ({"a": 0.5, "b": Fraction(-1, 2)}, TypeError, "expected an exact rational, got float"),
+            ({"z": 0.5, "a": 1}, DomainMismatchError, "mass assigned to unknown point 'z'"),
+            ({"a": Fraction(1, 3), "b": 0, "c": Fraction(1, 3)}, DomainMismatchError,
+             "masses sum to 2/3, not 1"),
+            ({"a": Fraction(0, 7), "b": Fraction(1, 2), "c": Fraction(1, 3)}, DomainMismatchError,
+             "masses sum to 5/6, not 1"),
+        ],
+        ids=["negative-then-unknown", "unknown-then-negative", "negative-then-float",
+             "float-then-negative", "unknown-then-int", "bad-sum-with-int-zero",
+             "bad-sum-with-fraction-zero"],
+    )
+    def test_first_failed_check_raises(self, mass, error, message):
+        # the checks run point by point in the mapping's order, and the sum
+        # is checked after every point, so two faults report the first
+        with pytest.raises(error) as err:
+            FiniteDistribution(FiniteSpace(("a", "b", "c")), mass)
+        assert str(err.value) == message
+
     def test_unknown_label_raises(self):
         sp = FiniteSpace(("a", "b", "c"))
         assert "z" not in sp
@@ -411,6 +436,21 @@ class TestSparseAgainstDenseReference:
         rng = random.Random(seed)
         xs, ys, _, s = self.fiber_instance(rng)
         q = rand_distribution(ys, rng)  # zero entries included
+        out = kernel_apply(s, q)
+        want = dense_kernel_apply(s, q)
+        assert [out(x) for x in xs] == [want[x] for x in xs]
+        assert out.support() == tuple(x for x in xs if want[x] > 0)
+
+    @given(seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_apply_with_overlapping_rows_matches_reference(self, seed):
+        # rows that are not fiber-supported share points, so a point gets
+        # a product from several rows and the first one is not the total
+        rng = random.Random(seed)
+        xs = rand_space(rng, 8, "x")
+        ys = rand_space(rng, 5, "y")
+        s = StochasticKernel(ys, xs, {y: rand_distribution(xs, rng) for y in ys})
+        q = rand_distribution(ys, rng)
         out = kernel_apply(s, q)
         want = dense_kernel_apply(s, q)
         assert [out(x) for x in xs] == [want[x] for x in xs]

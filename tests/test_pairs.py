@@ -156,6 +156,15 @@ class TestAbsoluteCoherence:
         pair = singleton_pair(uniform(AB), dirac("a", AB))
         assert not is_absolutely_coherent(pair)
 
+    @given(seeds)
+    @settings(max_examples=80, deadline=None)
+    def test_fiber_reading_matches_the_reconstruction(self, seed):
+        # the test reads s_{f x}(x) off the fiber; it must answer as the
+        # reconstruction s applied to q does, rows with zero masses included
+        pair = rand_coherent_pair(random.Random(seed))
+        reconstructed = kernel_apply(pair.s, pair.q)
+        assert is_absolutely_coherent(pair) == all(reconstructed(x) > 0 for x in pair.p.support())
+
     def test_full_support_dominates(self):
         rng = random.Random(2)
         for _ in range(20):
