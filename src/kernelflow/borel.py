@@ -60,6 +60,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -174,6 +175,13 @@ class DensityModel:
             # the panel grid and the error budget both divide this width
             raise DomainMismatchError(
                 f"model {self.name!r}: working interval [{lo}, {hi}] is wider than the largest float"
+            )
+        if max(abs(lo), abs(hi)) > sys.float_info.max / 2:
+            # the quadrature halves an interval [a, b] at 0.5 * (a + b),
+            # whose sum must stay finite for any two points of [lo, hi]
+            raise DomainMismatchError(
+                f"model {self.name!r}: working interval [{lo}, {hi}] has an end beyond half "
+                "the largest float, where midpoints overflow"
             )
         return lo, hi
 

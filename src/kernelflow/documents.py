@@ -21,6 +21,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import DocumentParseError, DomainMismatchError
 from .finite import FiniteDistribution, FiniteSpace, StochasticKernel
@@ -111,18 +112,21 @@ def _distribution(
         raise DocumentParseError(f"{what}: {exc}", lineno)
 
 
-def _document_lines(text: str, tag: str) -> list[tuple[int, list[str]]]:
-    """The (lineno, tokens) content lines of text, the first being its header,
-    which must read tag.  A line's tokens are what precedes its first "#",
-    split at whitespace; a line without any is not a content line."""
-    lines = [
+def _document_lines(text: str, tag: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield the (lineno, tokens) content lines of text, the first being its
+    header, which must read tag; it is checked when the first line is asked
+    for.  A line's tokens are what precedes its first "#", split at
+    whitespace; a line without any is not a content line."""
+    lines = (
         (lineno, tokens)
         for lineno, raw in enumerate(text.splitlines(), start=1)
         if (tokens := raw.partition("#")[0].split())
-    ]
-    if not lines or lines[0][1] != tag.split():
-        raise DocumentParseError(f"expected header {tag!r}", lines[0][0] if lines else 1)
-    return lines
+    )
+    header = next(lines, None)
+    if header is None or header[1] != tag.split():
+        raise DocumentParseError(f"expected header {tag!r}", header[0] if header else 1)
+    yield header
+    yield from lines
 
 
 @dataclass(frozen=True)
@@ -147,6 +151,7 @@ class MorphismDocument:
 
 def parse_morphism(text: str) -> MorphismDocument:
     lines = _document_lines(text, MORPHISM_TAG)
+    lineno, _ = next(lines)
 
     spaces: dict[str, tuple[int, FiniteSpace]] = {}
     space_order: list[str] = []
@@ -154,13 +159,10 @@ def parse_morphism(text: str) -> MorphismDocument:
     q_raw: dict[str, Fraction] = {}
     f_map: dict[str, str] = {}
     s_raw: dict[str, dict[str, Fraction]] = {}
-    # the line of each entry and of each distribution's last entry, for
-    # the errors found once the whole document is read
+    # the line of each entry and of each distribution's last entry
     at: dict[tuple[str, ...], int] = {}
-    last_line = lines[0][0]
 
-    for lineno, tokens in lines[1:]:
-        last_line = lineno
+    for lineno, tokens in lines:
         kind = tokens[0]
         if kind == "space":
             if len(tokens) < 3:
@@ -195,6 +197,8 @@ def parse_morphism(text: str) -> MorphismDocument:
             at["s", tokens[1], tokens[2]] = at["s", tokens[1]] = lineno
         else:
             raise DocumentParseError(f"unknown directive {kind!r}", lineno)
+    # the last content line, for the errors found once the whole document is read
+    last_line = lineno
 
     if len(space_order) != 2:
         raise DocumentParseError(
@@ -269,12 +273,11 @@ def serialize_morphism(doc: MorphismDocument) -> str:
 
 def parse_distribution(text: str) -> FiniteDistribution:
     lines = _document_lines(text, DISTRIBUTION_TAG)
+    lineno, _ = next(lines)  # ends as the last content line's
     space = None
     raw: dict[str, Fraction] = {}
     at: dict[str, int] = {}
-    last = lines[0][0]
-    for lineno, tokens in lines[1:]:
-        last = lineno
+    for lineno, tokens in lines:
         if tokens[0] == "space":
             if space is not None:
                 raise DocumentParseError("space declared twice", lineno)
@@ -289,8 +292,8 @@ def parse_distribution(text: str) -> FiniteDistribution:
         else:
             raise DocumentParseError(f"unknown directive {tokens[0]!r}", lineno)
     if space is None:
-        raise DocumentParseError("missing space declaration", last)
-    return _distribution(space, raw, "distribution", last, at.get)
+        raise DocumentParseError("missing space declaration", lineno)
+    return _distribution(space, raw, "distribution", lineno, at.get)
 
 
 @dataclass(frozen=True)
@@ -307,6 +310,7 @@ class ForecastLog:
 
 def parse_forecast_log(text: str) -> ForecastLog:
     lines = _document_lines(text, FORECAST_LOG_TAG)
+    lineno, _ = next(lines)  # ends as the last content line's
     space = None
     records: list[ForecastRecord] = []
     seen: set[tuple[int, str]] = set()
@@ -314,7 +318,7 @@ def parse_forecast_log(text: str) -> ForecastLog:
     # tokens, and only a token that parsed is kept, so a bad one fails at
     # every line it is on, the first of them first
     known: dict[str, Fraction] = {}
-    for lineno, tokens in lines[1:]:
+    for lineno, tokens in lines:
         if tokens[0] == "outcomes":
             if space is not None:
                 raise DocumentParseError("outcomes declared twice", lineno)
@@ -353,14 +357,15 @@ def parse_forecast_log(text: str) -> ForecastLog:
         else:
             raise DocumentParseError(f"unknown directive {tokens[0]!r}", lineno)
     if space is None:
-        raise DocumentParseError("missing outcomes declaration", lines[-1][0])
+        raise DocumentParseError("missing outcomes declaration", lineno)
     return ForecastLog(space, tuple(records))
 
 
 def parse_piecewise(text: str) -> list[tuple[float, float, float, float]]:
     lines = _document_lines(text, PIECEWISE_TAG)
+    lineno, _ = next(lines)  # ends as the last content line's
     pieces = []
-    for lineno, tokens in lines[1:]:
+    for lineno, tokens in lines:
         if tokens[0] != "piece":
             raise DocumentParseError(f"unknown directive {tokens[0]!r}", lineno)
         if len(tokens) != 5:
@@ -373,5 +378,5 @@ def parse_piecewise(text: str) -> list[tuple[float, float, float, float]]:
             raise DocumentParseError("piece values out of range", lineno)
         pieces.append((lo, hi, qd, r))
     if not pieces:
-        raise DocumentParseError("no pieces given", lines[-1][0])
+        raise DocumentParseError("no pieces given", lineno)
     return pieces

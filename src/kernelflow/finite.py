@@ -27,6 +27,7 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+# not slotted: the cached_property _index lives in the instance __dict__
 @dataclass(frozen=True)
 class FiniteSpace:
     """A finite set of distinct, nonempty string labels in a fixed order.
@@ -66,7 +67,7 @@ class FiniteSpace:
         return len(self.points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteDistribution:
     """An exact probability mass function on a FiniteSpace.
 
@@ -92,14 +93,13 @@ class FiniteDistribution:
             if i is None:
                 raise DomainMismatchError(f"mass assigned to unknown point {label!r}")
             m = value if type(value) is Fraction else _as_fraction(value)
-            n = m.numerator
+            n, d = m.as_integer_ratio()  # one call, not two property reads
             if n < 0:
                 raise DomainMismatchError("negative mass")
             if n:
                 support[label] = m
                 ordered = ordered and last < i
                 last = i
-                d = m.denominator
                 if common % d:
                     lcm = math.lcm(common, d)
                     num *= lcm // common
@@ -151,16 +151,35 @@ def dirac(x: str, space: FiniteSpace) -> FiniteDistribution:
 def pushforward(
     p: FiniteDistribution, f: Mapping[str, str], target: FiniteSpace
 ) -> FiniteDistribution:
-    """The image distribution of p along the point map f."""
-    out: dict[str, Fraction] = {y: ZERO for y in target}
+    """The image distribution of p along the point map f.
+
+    Each target point's masses are summed as ints over a running common
+    denominator, as FiniteDistribution checks a sum, and one Fraction is
+    built per point of the image of p's support.
+    """
+    mass, index = p.mass, target._index
+    sums: dict[str, tuple[int, int]] = {}  # y -> (num, common), the sum num / common
     for x in p.space:
         if x not in f:
             raise DomainMismatchError(f"map undefined at point {x!r}")
         y = f[x]
-        if y not in target:
+        if y not in index:
             raise DomainMismatchError(f"map sends {x!r} to {y!r}, outside the target space")
-        out[y] += p(x)
-    return FiniteDistribution(target, out)
+        m = mass.get(x)
+        if m is None:
+            continue
+        n, d = m.as_integer_ratio()
+        acc = sums.get(y)
+        if acc is None:
+            sums[y] = n, d
+            continue
+        num, common = acc
+        if common % d:
+            lcm = math.lcm(common, d)
+            num *= lcm // common
+            common = lcm
+        sums[y] = num + n * (common // d), common
+    return FiniteDistribution(target, {y: Fraction(*sums[y]) for y in target if y in sums})
 
 
 def flatten(pairs: Iterable[tuple[object, FiniteDistribution]]) -> FiniteDistribution:

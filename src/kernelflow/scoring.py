@@ -26,7 +26,7 @@ from .errors import DomainMismatchError, IndeterminateScoreError
 from .finite import ZERO, FiniteDistribution, FiniteSpace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForecastRecord:
     round: int
     forecaster: str
@@ -87,7 +87,9 @@ def _kl_scorer(truth: FiniteDistribution) -> Callable[[FiniteDistribution], floa
     split = [(x, t.numerator, t.denominator) for x, t in truth.items()]
 
     def score(forecast: FiniteDistribution) -> float:
-        if forecast.space != space:
+        # a parsed log's forecasts share one space object: "is" settles
+        # them without the dataclass __eq__
+        if forecast.space is not space and forecast.space != space:
             raise DomainMismatchError("distributions live on different spaces")
         mass = forecast.mass
         rows = []

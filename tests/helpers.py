@@ -200,6 +200,20 @@ def dense_kernel_apply(s: StochasticKernel, q: FiniteDistribution) -> dict:
     return out
 
 
+def fraction_pushforward(p: FiniteDistribution, f: dict, target: FiniteSpace) -> dict:
+    """Reference f_*p: the plain Fraction sum over every point of p's space,
+    zero masses included, as the mass at each point of target.  Raises the
+    errors pushforward raises, at the first point of p's space that has one."""
+    out = {y: Fraction(0) for y in target.points}
+    for x in p.space.points:
+        if x not in f:
+            raise DomainMismatchError(f"map undefined at point {x!r}")
+        if f[x] not in out:
+            raise DomainMismatchError(f"map sends {x!r} to {f[x]!r}, outside the target space")
+        out[f[x]] += p(x)
+    return out
+
+
 def ln_fraction(r: Fraction) -> float:
     """ln r for a positive Fraction, one log each of its numerator and
     denominator, and exact 0.0 when r == 1."""

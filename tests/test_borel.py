@@ -274,6 +274,16 @@ class TestBinMasses:
                            "than the largest float$"):
             bin_masses(model, 1, QUAD)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1e308), (-1e308, -1.0)])
+    def test_working_interval_whose_midpoints_overflow_is_refused(self, lo, hi):
+        # hi - lo is finite, but lo + hi of the top intervals is not: their
+        # midpoints were inf, and the level ended in the live-interval cap
+        model = uniform_pair_model(lo, hi, lo, hi)
+        with pytest.raises(DomainMismatchError) as err:
+            bin_masses(model, 1, QUAD)
+        assert str(err.value) == (f"model {model.name!r}: working interval [{lo}, {hi}] has an end "
+                                  "beyond half the largest float, where midpoints overflow")
+
     def test_deterministic_bit_identical(self):
         a = bin_masses(gauss01_11(), 4, QUAD)
         b = bin_masses(gauss01_11(), 4, QUAD)

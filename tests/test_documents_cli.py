@@ -553,6 +553,19 @@ PARSE_ERROR_CASES = {
     "piece_arity": (parse_piecewise, PIECEWISE_DOC.replace("piece 1/2 1 1 1/2", "piece 1/2 1 1"), 3,
                     "piece needs: piece <lo> <hi> <q-density> <ratio>"),
     "no_pieces": (parse_piecewise, "piecewise v1\n\n", 1, "no pieces given"),
+    # the header may follow comments and blank lines, and an error found
+    # once the document is read names the last content line
+    "late_header_no_outcomes": (parse_forecast_log, "# log\n\n forecast-log v1 # tag\n\n", 3,
+                                "missing outcomes declaration"),
+    "late_header_no_pieces": (parse_piecewise, "\n# pieces\npiecewise v1\n", 3,
+                              "no pieces given"),
+    "late_header_no_space": (parse_distribution, "#\ndistribution v1\nmass H 1\n# end\n", 3,
+                             "missing space declaration"),
+    "late_header_one_space": (parse_morphism, "\n\nmorphism v1\nspace X a\n\n", 4,
+                              "expected exactly two spaces, found 1"),
+    "empty_document": (parse_morphism, "\n# nothing\n", 1, "expected header 'morphism v1'"),
+    "wrong_header": (parse_distribution, "# a log?\nforecast-log v1\n", 2,
+                     "expected header 'distribution v1'"),
 }
 
 
@@ -843,6 +856,17 @@ class TestEstimateKlCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: model ") and err.count("\n") == 1
         assert err.endswith(": working interval [-1e+308, 1e+308] is wider than the largest float\n")
+
+    def test_working_interval_whose_midpoints_overflow_is_an_input_error(self, capsys):
+        # U[0, 1e308] against itself: the width is finite, but the top
+        # intervals' midpoints overflowed, and the ladder ended in exit 3
+        # with "quadrature needs more than 16396 live intervals at level 1"
+        code, out, err = run(capsys, "estimate-kl", "uniform-pair", "0", "1e308", "0", "1e308",
+                             "--nmax", "4")
+        assert (code, out) == (1, "")
+        assert err == ("error: model 'uniform-pair(0.0,1e+308,0.0,1e+308)': working interval "
+                       "[0.0, 1e+308] has an end beyond half the largest float, where midpoints "
+                       "overflow\n")
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_bad_stop_tolerance_is_an_input_error(self, capsys, tol):

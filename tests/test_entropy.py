@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kernelflow.entropy import (
@@ -427,6 +427,34 @@ class TestFunctoriality:
         pair = two_point("1/2", "1/4")
         with pytest.raises(DomainMismatchError):
             check_functoriality(pair, pair)
+
+    @given(seeds, st.sampled_from([None, True, False]), st.sampled_from([None, True, False]))
+    @settings(max_examples=150, deadline=None)
+    def test_composite_is_re_fin_of_the_built_composite(self, seed, absolutely, second_absolutely):
+        # the composite's value is read off both pairs' fibers; it must be
+        # re_fin of the composite pair compose_pairs builds, bit for bit,
+        # absolutely coherent or not
+        first, second = rand_composable_pairs(
+            random.Random(seed), absolutely=absolutely, second_absolutely=second_absolutely
+        )
+        check = check_functoriality(first, second)
+        assert check.composite == re_fin(compose_pairs(first, second)).value
+        assert (check.first, check.second) == (re_fin(first).value, re_fin(second).value)
+
+    @given(seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_mismatched_middle_objects_raise(self, seed):
+        # a second pair out of first.q's space but from another distribution,
+        # and the two pairs in the wrong order, do not compose
+        rng = random.Random(seed)
+        first, second = rand_composable_pairs(rng)
+        other = rand_coherent_pair(rng, x_space=first.q.space, y_prefix="z")
+        assume(other.p != first.q)
+        for a, b in ((first, other), (second, first)):
+            for compose in (check_functoriality, compose_pairs):
+                with pytest.raises(DomainMismatchError) as err:
+                    compose(a, b)
+                assert str(err.value) == "middle objects do not match"
 
 
 class TestLsc:

@@ -1,6 +1,9 @@
 """Exact core: distributions, kernels, monad operations, disintegration."""
 
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -24,6 +27,7 @@ from kernelflow.finite import (
 
 from helpers import (
     dense_kernel_apply,
+    fraction_pushforward,
     rand_distribution,
     rand_fiber_kernel,
     rand_map,
@@ -177,6 +181,23 @@ class TestSpacesAndDistributions:
             FiniteDistribution(FiniteSpace(("a", "b", "c")), mass)
         assert str(err.value) == message
 
+    @given(seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_frozen_slotted_and_copyable(self, seed):
+        rng = random.Random(seed)
+        d = rand_distribution(rand_space(rng, 6, "x"), rng)
+        assert not hasattr(d, "__dict__")
+        for name in ("space", "mass"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(d, name, None)
+        # a name that is no field is refused too, with CPython's TypeError
+        # from a slotted frozen dataclass's __setattr__
+        with pytest.raises((AttributeError, TypeError)):
+            d.other = None
+        for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+            assert twin == d and hash(twin) == hash(d)
+            assert list(twin.items()) == list(d.items())
+
     def test_unknown_label_raises(self):
         sp = FiniteSpace(("a", "b", "c"))
         assert "z" not in sp
@@ -213,6 +234,33 @@ class TestPushforward:
         with pytest.raises(DomainMismatchError) as err:
             pushforward(uniform(AB), {"a": "u"}, UV)
         assert str(err.value) == "map undefined at point 'b'"
+
+
+    @given(seeds, st.sampled_from(["total", "undefined", "outside"]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_sum(self, seed, fault):
+        # p has zero masses; the map is total, misses a point, or sends a
+        # point outside the target, and the int sums must give the Fraction
+        # sums or the same error as the plain Fraction reference
+        rng = random.Random(seed)
+        xs = rand_space(rng, 10, "x")
+        ys = rand_space(rng, 4, "y")
+        p = rand_distribution(xs, rng)
+        f = rand_map(rng, xs, ys)
+        if fault == "undefined":
+            del f[rng.choice(xs.points)]
+        elif fault == "outside":
+            f[rng.choice(xs.points)] = "w"
+        try:
+            want = fraction_pushforward(p, f, ys)
+        except DomainMismatchError as exc:
+            with pytest.raises(DomainMismatchError) as err:
+                pushforward(p, f, ys)
+            assert str(err.value) == str(exc)
+            return
+        out = pushforward(p, f, ys)
+        assert [out(y) for y in ys] == [want[y] for y in ys]
+        assert out.support() == tuple(y for y in ys if want[y] > 0)
 
 
 class TestDiracAndFlatten:

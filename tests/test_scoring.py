@@ -1,7 +1,10 @@
 """Forecast scoring: log loss, KL score, conditional and sequential scoring."""
 
+import copy
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -85,6 +88,15 @@ class TestEmpiricalLogScore:
         with pytest.raises(DomainMismatchError):
             ForecastRecord(1, "f", coin("2/3"), "X")
 
+    def test_record_is_frozen_slotted_and_copyable(self):
+        rec = ForecastRecord(3, "f", coin("2/3"), "T")
+        assert not hasattr(rec, "__dict__")
+        for name in ("round", "forecaster", "forecast", "outcome"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(rec, name, None)
+        for twin in (pickle.loads(pickle.dumps(rec)), copy.deepcopy(rec)):
+            assert twin == rec and hash(twin) == hash(rec)
+
     def test_rejects_mixed_forecasters(self):
         recs = [
             ForecastRecord(1, "f", coin("2/3"), "H"),
@@ -120,6 +132,20 @@ class TestKlScore:
     def test_space_mismatch(self):
         with pytest.raises(DomainMismatchError):
             kl_score(coin("1/2"), uniform(FiniteSpace(("a", "b"))))
+        # the same labels in another order make another space
+        with pytest.raises(DomainMismatchError):
+            sequential_scores(coin("1/2"), [coin("1/3"), uniform(FiniteSpace(("T", "H")))])
+
+    def test_equal_but_distinct_space_scores(self):
+        # the scorer settles a shared space by identity, and an equal space
+        # that is another object by equality
+        twin = FiniteSpace(("H", "T"))
+        assert twin is not COIN
+        forecast = FiniteDistribution(twin, {"H": Fraction(1, 4), "T": Fraction(3, 4)})
+        assert kl_score(coin("1/2"), forecast) == kl_score(coin("1/2"), coin("1/4"))
+        assert sequential_scores(coin("1/2"), [coin("1/3"), forecast]) == sequential_scores(
+            coin("1/2"), [coin("1/3"), coin("1/4")]
+        )
 
     @given(seeds)
     @settings(max_examples=80, deadline=None)
