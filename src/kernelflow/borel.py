@@ -48,20 +48,13 @@ drawn, its ratio checked and sorted, and its runs found at the ladder's
 top level once per ladder; each level merges those runs, which gives the
 runs a fresh level finds.  Every level is bit-identical to bin_masses run
 from scratch.
-
-A level's Gauss blocks and bisection blocks run concurrently on a thread
-pool.  Each block writes only its own slices of the level's arrays, and
-the per-block error terms are summed in block order once all are done, so
-every level is bit-identical whatever the pool's size.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -110,12 +103,6 @@ _K7_W = np.array([
     0.104656226026467265193823857192073,
 ])
 _G3_W = np.array([5 / 9, 8 / 9, 5 / 9])
-# A level's Gauss blocks and bisection blocks run on one thread per CPU
-# this process may use; numpy releases the GIL inside its loops, which
-# take most of a block's time.  No thread starts before the first block.
-_POOL = ThreadPoolExecutor(
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-)
 
 
 @dataclass(frozen=True)
@@ -127,8 +114,7 @@ class DensityModel:
     and p must both integrate to 1; bin_masses raises DomainMismatchError
     where they do not (Monte Carlo checks only the ratio at its samples).
     The quadrature calls them on 2-D arrays with one row per node or sample
-    and one column per interval or panel, as well as on 1-D ones, and from
-    several threads at once, so they must not mutate shared state.  For
+    and one column per interval or panel, as well as on 1-D ones.  For
     quadrature on an unbounded support a truncation interval capturing all
     but <= 1e-10 of both masses must be supplied; each measure's leftover
     is folded into the cell of the ratio at the truncation's upper end if
@@ -373,20 +359,6 @@ def _require_room(live: int, n: int) -> None:
         raise IntegrationToleranceError(f"quadrature needs more than {cap} live intervals at level {n}")
 
 
-def _map_blocks(body, size: int, block: int) -> list:
-    """body(s) for each block start s in range(0, size, block), on the pool.
-
-    Each block must write only its own slices.  Results come back, and an
-    error is raised, in block order, as from one loop over the blocks.
-    numpy's error state is per thread, so each block sets _level's again.
-    """
-    def run(s):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return body(s)
-
-    return list(_POOL.map(run, range(0, size, block)))
-
-
 def _monotone_panels(model: DensityModel, lo: float, hi: float, n: int):
     """Panels tiling [lo, hi] on which, as far as samples show, the ratio
     is monotone or stays in one level-n cell, with the ratio at both ends.
@@ -471,7 +443,10 @@ def _crossings(model: DensityModel, a, b, r_a, r_b, n: int, ladder: _Ladder):
         cuts[kept], terms[kept] = ladder.cuts, ladder.terms
         new = ~old
 
-    def block(s):
+    # summed per block, then in block order, so err_est's last bits
+    # depend on _CHUNK
+    err = 0.0
+    for s in range(0, total, _CHUNK):
         at, edge, fresh = panel[s:s + _CHUNK], j[s:s + _CHUNK], new[s:s + _CHUNK]
         right, term = cuts[s:s + _CHUNK], terms[s:s + _CHUNK]
         if fresh.any():
@@ -482,12 +457,7 @@ def _crossings(model: DensityModel, a, b, r_a, r_b, n: int, ladder: _Ladder):
             p = _checked(model, ends, "ratio * base density", q * model.ratio(ends))
             term[fresh] = (r - left) * (q + p).max(axis=0)
             right[fresh] = r
-        return float(np.sum(term))
-
-    # summed in block order, as one loop would; sum() may compensate
-    err = 0.0
-    for block_err in _map_blocks(block, total, _CHUNK):
-        err += block_err
+        err += float(np.sum(term))
     keep = count > 0
     ladder.n, ladder.a, ladder.b = n, a[keep], b[keep]
     ladder.cuts, ladder.terms = cuts, terms
@@ -599,7 +569,7 @@ def _gauss(model: DensityModel, a, b, n: int):
     cells = np.empty(a.size, dtype=np.int64)
     stray = np.empty(a.size, dtype=bool)
 
-    def block(s):
+    for s in range(0, a.size, _GAUSS_BLOCK):
         lo, hi = a[s:s + _GAUSS_BLOCK], b[s:s + _GAUSS_BLOCK]
         half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
         xs = np.empty((9, lo.size))
@@ -625,8 +595,6 @@ def _gauss(model: DensityModel, a, b, n: int):
         cells[s:s + _GAUSS_BLOCK] = c
         stray[s:s + _GAUSS_BLOCK] = ~_in_cell(r_min, r_max, c, n)
         out[:, s:s + _GAUSS_BLOCK] = q7, p7, np.abs(q7 - q3) + np.abs(p7 - p3)
-
-    _map_blocks(block, a.size, _GAUSS_BLOCK)
     q7, p7, diff = out
     return q7, p7, diff, cells, stray
 

@@ -89,7 +89,21 @@ def _number(token: str) -> float:
 
 
 def format_fraction(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    """n/d, exactly, however many digits n and d have."""
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:  # past CPython's limit on int-to-str digits
+        return f"{_digits(f.numerator)}/{_digits(f.denominator)}"
+
+
+def _digits(n: int) -> str:
+    """str(n) for n >= 0, built 600 digits at a time: CPython's limit on
+    int-to-str digits cannot be set below 640."""
+    chunk, chunks = 10**600, []
+    while n >= chunk:
+        n, low = divmod(n, chunk)
+        chunks.append(f"{low:0600d}")
+    return str(n) + "".join(reversed(chunks))
 
 
 def _space(points, lineno: int) -> FiniteSpace:

@@ -11,10 +11,7 @@ densities numerically), which keeps the comparison honest.
 import dataclasses
 import math
 import re
-import sys
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -310,9 +307,12 @@ class TestBinMasses:
         ids=["chunk-gauss", "gauss_block-gauss", "gauss_block-peak", "chunk-gauss-ladder"],
     )
     def test_blocked_bisection_bit_identical(self, monkeypatch, block, model, err_rel, ladder):
+        model, calls = counted(model)
+
         def levels():
+            calls[0] = 0
             if not ladder:
-                return [bin_masses(model, 6, QUAD)], ()
+                return [bin_masses(model, 6, QUAD)], (), calls[0]
             # the levels estimate_kl computes, as it hands them on
             seen = []
 
@@ -321,12 +321,14 @@ class TestBinMasses:
                 return discretized_kl(level)
 
             monkeypatch.setattr("kernelflow.borel.discretized_kl", spy)
-            return seen, estimate_kl(model, 6, 1e-12, QUAD).levels
+            return seen, estimate_kl(model, 6, 1e-12, QUAD).levels, calls[0]
 
-        whole, whole_rows = levels()
+        whole, whole_rows, whole_calls = levels()
         monkeypatch.setattr(f"kernelflow.borel.{block}", 7)
-        blocked, blocked_rows = levels()
+        blocked, blocked_rows, blocked_calls = levels()
         assert len(whole) == len(blocked) and len(whole_rows) == len(blocked_rows)
+        # blocks split the evaluations among them and add none
+        assert blocked_calls == whole_calls
         for w, b in zip(whole, blocked):
             assert np.array_equal(w.p_mass, b.p_mass)
             assert np.array_equal(w.q_mass, b.q_mass)
@@ -641,7 +643,8 @@ class TestNodeMajorLayout:
         message = (f"model 'huge-product': ratio * base density is inf at x = {first:.9g}, "
                    "not a finite nonnegative number")
         for gauss in (borel._gauss, interval_major_gauss):
-            with pytest.raises(DomainMismatchError) as info:
+            # as inside a level, where the overflow is left to the check
+            with pytest.raises(DomainMismatchError) as info, np.errstate(over="ignore"):
                 gauss(model, a, b, 1)
             assert str(info.value) == message
 
@@ -943,15 +946,11 @@ class TestEstimateKl:
 
 
 def counted(model):
-    """The model with its ratio counting evaluations, and the count.  The
-    pool's workers call the ratio at once, so the count is taken under a
-    lock: an unlocked += can lose an update."""
+    """The model with its ratio counting evaluations, and the count."""
     calls = [0]
-    lock = threading.Lock()
 
     def ratio(x, inner=model.ratio):
-        with lock:
-            calls[0] += np.size(x)
+        calls[0] += np.size(x)
         return inner(x)
 
     return dataclasses.replace(model, ratio=ratio), calls
@@ -1068,54 +1067,31 @@ class TestLadderReuse:
         assert trace.levels == tuple(rows)
 
 
-@pytest.fixture
-def pool_of(monkeypatch):
-    """Gives borel a pool of the given number of workers in place of its own."""
-    pools = []
-
-    def swap(workers):
-        pools.append(ThreadPoolExecutor(workers))
-        monkeypatch.setattr(borel, "_POOL", pools[-1])
-
-    yield swap
-    for pool in pools:
-        pool.shutdown()
-
-
 class TestPool:
-    """A level's Gauss and bisection blocks run on borel's thread pool, and
-    neither the pool's size nor the order in which blocks finish shows."""
+    """borel keeps no thread pool: a level's Gauss and bisection blocks run
+    one after another on the calling thread."""
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_pool_size_moves_no_bit(self, monkeypatch, pool_of, workers):
-        def run():
-            model, calls = counted(gauss01_11())
-            rows = estimate_kl(model, 6, 1e-12, QUAD).levels
-            return rows, bin_masses(model, 6, QUAD), calls[0]
-
-        rows, level, calls = run()
+    def test_model_called_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(borel, "_GAUSS_BLOCK", 7)
         monkeypatch.setattr(borel, "_CHUNK", 7)
-        pool_of(workers)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # workers switch often, so a lost count would show
-        try:
-            got_rows, got_level, got_calls = run()
-        finally:
-            sys.setswitchinterval(interval)
-        assert [row[:3] for row in got_rows] == [row[:3] for row in rows]
-        for got, want in zip(got_rows, rows):
-            # as in test_blocked_bisection_bit_identical, only the bisection
-            # blocks' err_est sums may move
-            assert got[3] == pytest.approx(want[3], rel=1e-12, abs=0.0)
-        assert np.array_equal(got_level.p_mass, level.p_mass)
-        assert np.array_equal(got_level.q_mass, level.q_mass)
-        assert got_level.err_est == pytest.approx(level.err_est, rel=1e-12, abs=0.0)
-        assert got_calls == calls
+        threads = set()
+
+        def on_thread(f):
+            def call(x):
+                threads.add(threading.get_ident())
+                return f(x)
+            return call
+
+        model = gauss01_11()
+        model = dataclasses.replace(model, base_density=on_thread(model.base_density),
+                                    ratio=on_thread(model.ratio))
+        assert len(estimate_kl(model, 6, 1e-12, QUAD).levels) == 6
+        assert threads == {threading.get_ident()}
 
     def test_workers_keep_floating_point_warnings_off(self, monkeypatch):
-        # a valid ratio that overflows inside: numpy's error state is per
-        # thread, and the suite turns an escaping RuntimeWarning into an error
+        # a valid ratio that overflows inside, in blocks of 7: the level's one
+        # error state covers every block, and the suite turns an escaping
+        # RuntimeWarning into an error
         monkeypatch.setattr(borel, "_GAUSS_BLOCK", 7)
         monkeypatch.setattr(borel, "_CHUNK", 7)
         model = DensityModel(
@@ -1124,28 +1100,20 @@ class TestPool:
         )
         assert len(estimate_kl(model, 3, 1e-12, QUAD).levels) == 3
 
-    def test_errors_come_in_block_order(self, monkeypatch, pool_of):
-        # q is negative on two stretches in different Gauss blocks.  The
-        # first stretch's blocks are slow, so with three workers the second
-        # fails first; the error must still be the one a loop meets first
+    def test_errors_come_in_block_order(self, monkeypatch):
+        # q is negative on two stretches in different Gauss blocks; the
+        # error names a point of the first
         first, second = (0.3, 0.31), (0.7, 0.71)
 
         def base_density(x):
             bad = [(lo < x) & (x < hi) for lo, hi in (first, second)]
-            if bad[0].any():
-                time.sleep(0.05)
             return np.where(bad[0] | bad[1], -1.0, 1.0)
 
         model = DensityModel("two-bad-stretches", base_density, np.ones_like, (0.0, 1.0))
         monkeypatch.setattr(borel, "_GAUSS_BLOCK", 64)
-        messages = []
-        for workers in (1, 3):
-            pool_of(workers)
-            with pytest.raises(DomainMismatchError) as info:
-                bin_masses(model, 1, QUAD)
-            messages.append(str(info.value))
-        assert messages[1] == messages[0]
-        x = float(re.search(r"base density is -1.0 at x = (\S+),", messages[0])[1])
+        with pytest.raises(DomainMismatchError) as info:
+            bin_masses(model, 1, QUAD)
+        x = float(re.search(r"base density is -1.0 at x = (\S+),", str(info.value))[1])
         assert first[0] < x < first[1]
 
 

@@ -16,6 +16,7 @@ import sys
 import tempfile
 import time
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from kernelflow.cli import main
 from kernelflow.documents import (
     MorphismDocument,
     _fraction,
+    format_fraction,
     parse_distribution,
     parse_forecast_log,
     parse_morphism,
@@ -166,6 +168,32 @@ piecewise v1
 piece 0 1/2 1 3/2
 piece 1/2 1 1 1/2
 """
+
+
+def long_q_document(n=1400):
+    """(text, q): a morphism of n points onto fibres a and b, alternating,
+    and the fibre masses.  Point i has mass 1/p_i - 1/p_(i+1) for
+    consecutive primes above 10,007, the last point takes the rest, and s
+    is uniform on each fibre.  Every mass token has at most 19 characters,
+    but at n = 1,400 each q(y) has a denominator past CPython's default
+    limit of 4,300 digits on int-to-str conversion."""
+    sieve = bytearray([1]) * 25_000
+    for k in range(2, math.isqrt(25_000) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = bytes(len(range(k * k, 25_000, k)))
+    primes = [k for k in range(10_008, 25_000) if sieve[k]][:n]
+    p = [Fraction(1, lo) - Fraction(1, hi) for lo, hi in zip(primes, primes[1:])]
+    p.append(1 - sum(p))
+    fibre = ["ab"[i % 2] for i in range(n)]
+    lines = ["morphism v1", "space X " + " ".join(f"x{i}" for i in range(n)), "space Y a b"]
+    lines += [f"map x{i} {y}" for i, y in enumerate(fibre)]
+    lines += [f"p x{i} {m}" for i, m in enumerate(p)]
+    lines += [f"s {y} x{i} 2/{n}" for i, y in enumerate(fibre)]
+    q = {y: sum(m for m, f in zip(p, fibre) if f == y) for y in "ab"}
+    return "".join(line + "\n" for line in lines), q
+
+
+LONG_Q_DOC, LONG_Q = long_q_document()
 
 
 # digits, both signs, the slash, decimal point, exponent and underscore,
@@ -710,6 +738,40 @@ class TestDecomposeCommand:
         assert "total = 0.143841036" in out
 
 
+class TestLongExactValues:
+    """Short tokens can give exact values too long for CPython's default
+    int-to-str limit; the commands print them in full all the same."""
+
+    def test_fibre_masses_print_in_full(self, capsys, tmp_path):
+        # the expected digits come from decimal, which no limit applies to
+        want = {y: f"{Decimal(q.numerator)}/{Decimal(q.denominator)}" for y, q in LONG_Q.items()}
+        assert all(len(str(Decimal(q.denominator))) > 4300 for q in LONG_Q.values())
+        doc, summary = with_files(tmp_path, [LONG_Q_DOC])[0], tmp_path / "summary.json"
+        code, out, err = run(capsys, "decompose", doc)
+        assert (code, err) == (0, "")
+        assert [line.partition(", local RE")[0] for line in out.splitlines()[:2]] == [
+            f"{y}: q = {want[y]}" for y in "ab"]
+        code, out, err = run(capsys, "score", doc, "--mode", "conditional", "--summary", str(summary))
+        assert (code, err) == (0, "")
+        assert [line.partition(", score")[0] for line in out.splitlines()[:2]] == [
+            f"scenario {y}: q = {want[y]}" for y in "ab"]
+        rows = json.loads(summary.read_text())["scenarios"]
+        assert [(row["scenario"], row["q"]) for row in rows] == [(y, want[y]) for y in "ab"]
+
+    def test_format_fraction_at_the_lowest_limit(self):
+        # 640 digits is the lowest limit an interpreter may be given
+        q = LONG_Q["a"]
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(640)
+        try:
+            got = format_fraction(q)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert got == f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+
+
 class TestEstimateKlCommand:
     def test_equal_measures(self, capsys):
         code, out, _ = run(
@@ -1142,6 +1204,9 @@ MUTATED_DOCS = {
     "truth": (TRUTH_DOC, [["score", SEQ_LOG, "--mode", "sequential", "--truth", "{}"]]),
     "piecewise": (PIECEWISE_DOC, [["estimate-kl", "{}", "--nmax", "3"]]),
 }
+# and the documents only explicit examples start from: a command on the
+# long-q document takes most of a second, too slow for random mutations
+CHECKED_DOCS = {**MUTATED_DOCS, "long-q": (LONG_Q_DOC, [["decompose", "{}"]])}
 
 
 @st.composite
@@ -1196,6 +1261,7 @@ NAN_VALUE = re.compile(r"(?:[:=]|vs) nan\b")
 @example(("coin", COIN_DOC.replace("p HH 1/4", "p HH 1/0")))
 @example(("truth", TRUTH_DOC.replace("space H T", "space H T é")))
 @example(("piecewise", PIECEWISE_DOC + "piece 0 1/2 1 3/2\n"))
+@example(("long-q", LONG_Q_DOC))
 def check_mutated_documents(mutated):
     name, text = mutated
     start = time.perf_counter()
@@ -1203,7 +1269,7 @@ def check_mutated_documents(mutated):
         tmp_path = Path(tmp)
         path = tmp_path / "mutated.txt"
         path.write_text(text)
-        for argv in MUTATED_DOCS[name][1]:
+        for argv in CHECKED_DOCS[name][1]:
             argv = with_files(tmp_path, [str(path) if a == "{}" else a for a in argv])
             code, out, err = run_in_process(argv)
             assert code in range(5), argv
