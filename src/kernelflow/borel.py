@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -861,27 +861,18 @@ def exponential_kl(lam1: float, lam2: float) -> float:
 
 
 def uniform_pair_model(a: float, b: float, c: float, d: float) -> DensityModel:
-    """p = Uniform[a,b] against q = Uniform[c,d]; requires [a,b] inside [c,d]."""
+    """p = Uniform[a,b] against q = Uniform[c,d]; requires [a,b] inside [c,d].
+
+    The nonempty pieces among [c, a), [a, b) and [b, d] of a piecewise
+    constant model, so x = b belongs to [b, d] when b < d."""
+    _require_finite(a=a, b=b, c=c, d=d)
     if not (c <= a < b <= d):
         raise DomainMismatchError("p's interval must sit inside q's for p << q")
-    r_val = (d - c) / (b - a)
-
-    def q_density(x):
-        return np.where((x >= c) & (x <= d), 1.0 / (d - c), 0.0)
-
-    def ratio(x):
-        return np.where((x >= a) & (x <= b), r_val, 0.0)
-
-    def sampler(rng, size):
-        return rng.uniform(c, d, size)
-
-    return DensityModel(
-        name=f"uniform-pair({a},{b},{c},{d})",
-        base_density=q_density,
-        ratio=ratio,
-        support=(c, d),
-        sampler=sampler,
-    )
+    q, r = 1.0 / (d - c), (d - c) / (b - a)
+    steps = ((c, a, 0.0), (a, b, r), (b, d, 0.0))
+    pieces = [(lo, hi, q, ratio) for lo, hi, ratio in steps if lo < hi]
+    model = piecewise_constant_model(pieces, name=f"uniform-pair({a},{b},{c},{d})")
+    return replace(model, sampler=lambda rng, size: rng.uniform(c, d, size))
 
 
 def piecewise_constant_model(
@@ -894,6 +885,9 @@ def piecewise_constant_model(
     """
     if not pieces:
         raise DomainMismatchError("need at least one piece")
+    for lo, hi, *_ in pieces:
+        if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainMismatchError(f"piece [{lo}, {hi}] is not a finite interval with lo < hi")
     pieces = sorted(pieces)
     for (l0, h0, *_), (l1, _h1, *_) in zip(pieces, pieces[1:]):
         if h0 > l1:

@@ -27,6 +27,7 @@ from .errors import (
     IntegrationToleranceError,
     KernelflowError,
 )
+from .finite import format_fraction
 from .pairs import is_absolutely_coherent
 from .scoring import empirical_log_score, kl_score, sequential_scores
 
@@ -105,7 +106,7 @@ def cmd_decompose(args) -> int:
     pair = _load_pair(args.path)
     decomposition = convex_decompose(pair)
     for y, weight, local in decomposition.entries:
-        print(f"{y}: q = {documents.format_fraction(weight)}, local RE = {_fmt(local)}")
+        print(f"{y}: q = {format_fraction(weight)}, local RE = {_fmt(local)}")
     direct = re_fin(pair).value
     print(f"total = {_fmt(decomposition.total)}")
     print(f"re_fin cross-check = {_fmt(direct)}")
@@ -157,12 +158,12 @@ def cmd_score(args) -> int:
         pair = _load_pair(args.path)
         decomposition = convex_decompose(pair)
         for y, weight, local in decomposition.entries:
-            print(f"scenario {y}: q = {documents.format_fraction(weight)}, score = {_fmt(local)}")
+            print(f"scenario {y}: q = {format_fraction(weight)}, score = {_fmt(local)}")
         print(f"total = {_fmt(decomposition.total)}")
 
         def summary():
             rows = [
-                {"scenario": y, "q": documents.format_fraction(weight), "score": _json_float(local)}
+                {"scenario": y, "q": format_fraction(weight), "score": _json_float(local)}
                 for y, weight, local in decomposition.entries
             ]
             return {"scenarios": rows, "total": _json_float(decomposition.total)}

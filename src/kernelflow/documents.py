@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import DocumentParseError, DomainMismatchError
-from .finite import FiniteDistribution, FiniteSpace, StochasticKernel
+from .finite import FiniteDistribution, FiniteSpace, StochasticKernel, format_fraction
 from .pairs import CoherentPair, validate_coherent
 from .scoring import ForecastRecord
 
@@ -86,24 +86,6 @@ def _number(token: str) -> float:
         return float(_exact(token))
     except (ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"not a float: {token!r}") from exc
-
-
-def format_fraction(f: Fraction) -> str:
-    """n/d, exactly, however many digits n and d have."""
-    try:
-        return f"{f.numerator}/{f.denominator}"
-    except ValueError:  # past CPython's limit on int-to-str digits
-        return f"{_digits(f.numerator)}/{_digits(f.denominator)}"
-
-
-def _digits(n: int) -> str:
-    """str(n) for n >= 0, built 600 digits at a time: CPython's limit on
-    int-to-str digits cannot be set below 640."""
-    chunk, chunks = 10**600, []
-    while n >= chunk:
-        n, low = divmod(n, chunk)
-        chunks.append(f"{low:0600d}")
-    return str(n) + "".join(reversed(chunks))
 
 
 def _space(points, lineno: int) -> FiniteSpace:

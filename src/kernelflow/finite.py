@@ -8,9 +8,8 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import DomainMismatchError
@@ -27,35 +26,51 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-# not slotted: the cached_property _index lives in the instance __dict__
-@dataclass(frozen=True)
+def format_fraction(f: Fraction) -> str:
+    """n/d, exactly, however many digits n and d have."""
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:  # past CPython's limit on int-to-str digits
+        return f"{_digits(f.numerator)}/{_digits(f.denominator)}"
+
+
+def _digits(n: int) -> str:
+    """str(n) for n >= 0, built 600 digits at a time: CPython's limit on
+    int-to-str digits cannot be set below 640."""
+    chunk, chunks = 10**600, []
+    while n >= chunk:
+        n, low = divmod(n, chunk)
+        chunks.append(f"{low:0600d}")
+    return str(n) + "".join(reversed(chunks))
+
+
+@dataclass(frozen=True, slots=True)
 class FiniteSpace:
     """A finite set of distinct, nonempty string labels in a fixed order.
 
     The order given at construction is canonical: all iteration, summation
     and serialization follow it.  Membership lookups go through a label ->
-    index map, built on the first lookup, so they cost O(1) and a space
-    that is never queried does not pay for the map.
+    index map, which construction builds to find duplicate labels, so they
+    cost O(1).  The map is derived from points, so equality, hashing and
+    repr ignore it.
     """
 
     points: tuple[str, ...]
+    _index: dict[str, int] = field(repr=False, compare=False)
 
     def __init__(self, points: Iterable[str]):
         pts = tuple(points)
         if not pts:
             raise DomainMismatchError("a finite space needs at least one point")
-        seen = set()
-        for label in pts:
+        index = {}
+        for i, label in enumerate(pts):
             if not isinstance(label, str) or not label:
                 raise DomainMismatchError(f"invalid point label {label!r}")
-            if label in seen:
+            if label in index:
                 raise DomainMismatchError(f"duplicate point label {label!r}")
-            seen.add(label)
+            index[label] = i
         object.__setattr__(self, "points", pts)
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {label: i for i, label in enumerate(self.points)}
+        object.__setattr__(self, "_index", index)
 
     def __contains__(self, label: str) -> bool:
         return label in self._index

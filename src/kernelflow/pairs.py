@@ -36,6 +36,7 @@ from .finite import (
     deterministic_kernel,
     dirac,
     disintegrate,
+    format_fraction,
     kernel_apply,
     kleisli_compose,
     pushforward,
@@ -50,7 +51,8 @@ def _violations(
 ) -> tuple[str, ...]:
     """Every way (f, s) fails to be coherent from p to q, given pushed = f_*p."""
     violations = [
-        f"pushforward mismatch at {y!r}: expected {q(y)}, got {pushed(y)}"
+        f"pushforward mismatch at {y!r}: expected {format_fraction(q(y))}, "
+        f"got {format_fraction(pushed(y))}"
         for y in q.space
         if pushed(y) != q(y)
     ]

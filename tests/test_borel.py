@@ -1290,13 +1290,49 @@ class TestModels:
     @pytest.mark.parametrize("builder, params", [
         (gaussian_model, {"mu1": 0.0, "sigma1": 1.0, "mu2": 0.0, "sigma2": 1.0}),
         (exponential_model, {"lam1": 1.0, "lam2": 2.0}),
+        (uniform_pair_model, {"a": 0.0, "b": 1.0, "c": 0.0, "d": 2.0}),
     ])
     def test_non_finite_parameters_are_refused_by_name(self, builder, params, bad):
         # sigma <= 0 and lam <= 0 are false for nan, so these models used
-        # to be built and fail at their first level, blaming the ratio
+        # to be built and fail at their first level, blaming the ratio; a
+        # uniform pair's nan failed its interval check, blaming p and q
         for name in params:
             with pytest.raises(DomainMismatchError, match=f"^{name} must be finite, got {bad!r}$"):
-                builder(**{**params, name: bad}, truncation=(-10.0, 10.0))
+                builder(**{**params, name: bad})
+
+    @pytest.mark.parametrize("params, pieces", [
+        ((0.25, 0.75, 0, 1), [(0, 0.25, 1.0, 0.0), (0.25, 0.75, 1.0, 2.0), (0.75, 1, 1.0, 0.0)]),
+        ((0.1, 0.3, 0, 1), [(0, 0.1, 1.0, 0.0), (0.1, 0.3, 1.0, 1 / (0.3 - 0.1)), (0.3, 1, 1.0, 0.0)]),
+        ((0, 1, 0, 2), [(0, 1, 0.5, 2.0), (1, 2, 0.5, 0.0)]),
+        ((1, 2, 0, 2), [(0, 1, 0.5, 0.0), (1, 2, 0.5, 2.0)]),
+        ((0, 1, 0, 1), [(0, 1, 1.0, 1.0)]),
+    ], ids=["inside", "inexact-ratio", "left", "right", "equal"])
+    def test_uniform_pair_is_its_pieces(self, params, pieces):
+        # U[a, b] || U[c, d] is the piecewise model of the nonempty pieces
+        # among [c, a), [a, b) and [b, d], level for level, bit for bit,
+        # with q's sampler for Monte Carlo
+        model, explicit = uniform_pair_model(*params), piecewise_constant_model(pieces)
+        assert (model.support, model.breaks) == (explicit.support, explicit.breaks)
+        for n in range(1, 9):
+            got, want = bin_masses(model, n, QUAD), bin_masses(explicit, n, QUAD)
+            assert np.array_equal(got.p_mass, want.p_mass)
+            assert np.array_equal(got.q_mass, want.q_mass)
+            assert got.err_est == want.err_est
+        c, d = params[2:]
+        draws = model.sampler(np.random.default_rng(0), 1000)
+        assert np.all((c <= draws) & (draws <= d))
+
+    def test_uniform_pair_point_b_is_in_the_right_piece(self):
+        # x = b < d now lies in [b, d], where the ratio is 0 (it was
+        # (d - c) / (b - a) there, a null set); with b = d the last piece
+        # holds its top edge
+        model = uniform_pair_model(0.25, 0.75, 0, 1)
+        assert model.breaks == (0.0, 0.25, 0.75, 1.0)
+        xs = np.array([0.0, np.nextafter(0.25, 0), 0.25, np.nextafter(0.75, 0), 0.75, 1.0])
+        assert model.ratio(xs).tolist() == [0.0, 0.0, 2.0, 2.0, 0.0, 0.0]
+        assert model.base_density(xs).tolist() == [1.0] * 6
+        top = uniform_pair_model(1, 2, 0, 2)
+        assert top.ratio(np.array([1.0, 2.0, np.nextafter(2.0, 3)])).tolist() == [2.0, 2.0, 0.0]
 
     def test_uniform_pair_monte_carlo_ladder(self):
         # U[0, 1] || U[0, 2]: the ratio takes the values 2 and 0 only
@@ -1349,6 +1385,20 @@ class TestModels:
         with pytest.raises(DomainMismatchError) as err:
             piecewise_constant_model([])
         assert str(err.value) == "need at least one piece"
+
+    @pytest.mark.parametrize("pieces, shown", [
+        ([(0.0, 1.0, 1.0, 1.0), (2.0, 1.5, 1.0, 1.0)], "[2.0, 1.5]"),
+        ([(0.0, 0.5, 1.0, 2.0), (0.5, 0.5, 1.0, 1.0), (0.5, 1.0, 1.0, 0.0)], "[0.5, 0.5]"),
+        ([(0.0, math.inf, 1.0, 1.0)], "[0.0, inf]"),
+        ([(-math.inf, 0.0, 1.0, 1.0)], "[-inf, 0.0]"),
+        ([(math.nan, 1.0, 1.0, 1.0)], "[nan, 1.0]"),
+    ], ids=["reversed", "empty", "inf", "-inf", "nan"])
+    def test_piecewise_rejects_malformed_pieces(self, pieces, shown):
+        # the reversed piece gave KL 0.0 with converged true, and the empty
+        # piece was accepted without a word
+        with pytest.raises(DomainMismatchError) as err:
+            piecewise_constant_model(pieces)
+        assert str(err.value) == f"piece {shown} is not a finite interval with lo < hi"
 
     def test_piecewise_rejects_overlap(self):
         with pytest.raises(DomainMismatchError):

@@ -194,6 +194,8 @@ def long_q_document(n=1400):
 
 
 LONG_Q_DOC, LONG_Q = long_q_document()
+# the same morphism with a declared q that is not the pushforward of p
+WRONG_Q_DOC = LONG_Q_DOC + "q a 1/2\nq b 1/2\n"
 
 
 # digits, both signs, the slash, decimal point, exponent and underscore,
@@ -758,6 +760,20 @@ class TestLongExactValues:
         rows = json.loads(summary.read_text())["scenarios"]
         assert [(row["scenario"], row["q"]) for row in rows] == [(y, want[y]) for y in "ab"]
 
+    def test_violations_print_in_full(self, capsys, tmp_path):
+        # the declared q is wrong at both points, and each violation shows
+        # f_*p(y) in full; printing it with str() ended in a ValueError
+        want = {y: f"{Decimal(q.numerator)}/{Decimal(q.denominator)}" for y, q in LONG_Q.items()}
+        lines = [f"pushforward mismatch at '{y}': expected 1/2, got {want[y]}" for y in "ab"]
+        doc = with_files(tmp_path, [WRONG_Q_DOC])[0]
+        code, out, err = run(capsys, "validate", doc)
+        assert (code, err) == (1, "")
+        assert out.splitlines() == ["coherent: no", "absolutely coherent: no"] + [
+            f"violation: {line}" for line in lines]
+        code, out, err = run(capsys, "re", doc)
+        assert (code, out) == (1, "")
+        assert err == f"error: pair is not coherent: {'; '.join(lines)}\n"
+
     def test_format_fraction_at_the_lowest_limit(self):
         # 640 digits is the lowest limit an interpreter may be given
         q = LONG_Q["a"]
@@ -1206,7 +1222,8 @@ MUTATED_DOCS = {
 }
 # and the documents only explicit examples start from: a command on the
 # long-q document takes most of a second, too slow for random mutations
-CHECKED_DOCS = {**MUTATED_DOCS, "long-q": (LONG_Q_DOC, [["decompose", "{}"]])}
+CHECKED_DOCS = {**MUTATED_DOCS, "long-q": (LONG_Q_DOC, [["decompose", "{}"]]),
+                "wrong-q": (WRONG_Q_DOC, [["validate", "{}"], ["re", "{}"]])}
 
 
 @st.composite
@@ -1262,6 +1279,7 @@ NAN_VALUE = re.compile(r"(?:[:=]|vs) nan\b")
 @example(("truth", TRUTH_DOC.replace("space H T", "space H T é")))
 @example(("piecewise", PIECEWISE_DOC + "piece 0 1/2 1 3/2\n"))
 @example(("long-q", LONG_Q_DOC))
+@example(("wrong-q", WRONG_Q_DOC))
 def check_mutated_documents(mutated):
     name, text = mutated
     start = time.perf_counter()

@@ -143,12 +143,31 @@ class TestSpacesAndDistributions:
             ((), "a finite space needs at least one point"),
             (("a", ""), "invalid point label ''"),
             (("a", 3), "invalid point label 3"),
+            (("a", "b", "a"), "duplicate point label 'a'"),
+            # the labels are checked in order: the duplicate comes first
+            (("a", "a", ""), "duplicate point label 'a'"),
         ],
     )
     def test_rejects_empty_space_and_bad_labels(self, points, message):
         with pytest.raises(DomainMismatchError) as err:
             FiniteSpace(points)
         assert str(err.value) == message
+
+    def test_space_is_slotted_and_its_index_is_derived(self):
+        # the label -> index map is built with the space and is no part of
+        # its value: equal points make equal spaces with equal hashes
+        sp = FiniteSpace(["x", "y", "z"])
+        assert not hasattr(sp, "__dict__")
+        assert sp._index == {"x": 0, "y": 1, "z": 2}
+        assert repr(sp) == "FiniteSpace(points=('x', 'y', 'z'))"
+        twin = FiniteSpace(("x", "y", "z"))
+        assert twin == sp and hash(twin) == hash(sp)
+        assert FiniteSpace(("x", "z", "y")) != sp
+        with pytest.raises(FrozenInstanceError):
+            sp.points = ("x",)
+        for copied in (pickle.loads(pickle.dumps(sp)), copy.deepcopy(sp)):
+            assert copied == sp and hash(copied) == hash(sp)
+            assert copied._index == sp._index and "y" in copied and "w" not in copied
 
     @pytest.mark.parametrize("mass", [0.5, "1/2"], ids=["float", "str"])
     def test_mass_must_be_fraction_or_int(self, mass):
