@@ -9,19 +9,16 @@ is inf - inf, which has no value and is rejected where it can arise
 (scoring.sequential_scores).  Each per-point
 term forms the probability ratio exactly, as a numerator and denominator
 of ints reduced by their gcd (the pair Fraction division would give,
-without its overhead), before a single double-precision log, and a point
+without its overhead), and takes a log of each of the two ints; a point
 whose two masses are equal adds no term, so a morphism with an optimal
 hypothesis scores exactly 0.0.  One kernel, _kl, takes every such term as
 a row of ints, for this module and for scoring.
 
-The hypothesis applied to q is never built: (s . q)(x) = q(f x) s_{f x}(x).
-The sum over y of q(y) s_y(x) has that one term because the pair is
-coherent at every y, so each row s_y lives on the fiber over y and puts
-no mass on x unless y = f x.  The identity is exact, not q-almost
-everywhere, and re_fin and convex_decompose read the masses off the
-fibers.  check_functoriality reads the composite's off both pairs'
-fibers the same way, so it builds neither the composite kernel nor the
-composite pair.
+No hypothesis applied to a distribution is built: pairs._fiber_rows reads
+_kl's rows off the fibers, (s . w)(x) = w(f x) s_{f x}(x) for a weight w
+on Y, with w = q for re_fin and the composite's w = t . m for
+check_functoriality.  convex_decompose weights its rows by p_y, not p, so
+it groups p's support by fiber itself.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from fractions import Fraction
 
 from .errors import DomainMismatchError
 from .finite import ZERO
-from .pairs import CoherentPair
+from .pairs import CoherentPair, _fiber_rows
 
 INF = math.inf
 _FUNCTORIALITY_TOL = 1e-10  # |residual| below which the identity holds
@@ -72,20 +69,10 @@ class ReValue:
 def re_fin(pair: CoherentPair) -> ReValue:
     """Relative entropy of a coherent pair: KL of p against s applied to q.
 
-    Infinite exactly when the pair is not absolutely coherent.  (s . q)(x)
-    is read off the fiber as q(f x) s_{f x}(x), without building s . q.
+    Infinite exactly when the pair is not absolutely coherent.  The rows
+    come from pairs._fiber_rows with w = q.
     """
-    f, q, rows = pair.f, pair.q.mass, pair.s.rows
-
-    def terms():
-        for x, px in pair.p.items():
-            y = f[x]
-            qy = q[y]
-            sx = rows[y].mass.get(x, ZERO)
-            yield (px.numerator, px.denominator,
-                   qy.numerator * sx.numerator, qy.denominator * sx.denominator)
-
-    return ReValue(_kl(terms()))
+    return ReValue(_kl(_fiber_rows(pair)))
 
 
 @dataclass(frozen=True)
@@ -143,31 +130,19 @@ class FunctorialityCheck:
 def check_functoriality(first: CoherentPair, second: CoherentPair) -> FunctorialityCheck:
     """Compare RE(second . first) against RE(first) + RE(second).
 
-    The composite (g f, s . t) is not built.  Its hypothesis applied to
-    its target distribution m, read off both pairs' fibers, is
-    m(z) t_z(f x) s_{f x}(x) at x, with z = g(f x): the composite row
-    (s . t)_z(x) sums t_z(y) s_y(x) over y, and only y = f x adds mass.
-    The value is re_fin of compose_pairs(first, second), bit for bit.
+    The composite (g f, s . t) is not built.  Its hypothesis applied to m
+    is s . w for the weight w(y) = m(g y) t_{g y}(y) = (t . m)(y), which is
+    the mass column of RE(second)'s rows, so both come from
+    pairs._fiber_rows.  The value is re_fin of compose_pairs(first, second),
+    bit for bit.
     """
     if first.q != second.p:
         raise DomainMismatchError("middle objects do not match")
-    f, s_rows = first.f, first.s.rows
-    g, t_rows, m = second.f, second.s.rows, second.q.mass
-
-    def terms():
-        for x, px in first.p.items():
-            y = f[x]
-            z = g[y]
-            mz = m[z]
-            ty = t_rows[z].mass.get(y, ZERO)
-            sx = s_rows[y].mass.get(x, ZERO)
-            yield (px.numerator, px.denominator,
-                   mz.numerator * ty.numerator * sx.numerator,
-                   mz.denominator * ty.denominator * sx.denominator)
-
+    rows = list(_fiber_rows(second))
+    weight = {y: (mn, md) for y, (_, _, mn, md) in zip(second.p.mass, rows)}
     a = re_fin(first).value
-    b = re_fin(second).value
-    c = _kl(terms())
+    b = _kl(rows)
+    c = _kl(_fiber_rows(first, weight))
     return FunctorialityCheck(a, b, c, None if INF in (a, b, c) else c - a - b)
 
 

@@ -30,6 +30,7 @@ from typing import Mapping
 
 from .errors import DomainMismatchError, IncoherentPairError
 from .finite import (
+    ZERO,
     FiniteDistribution,
     FiniteSpace,
     StochasticKernel,
@@ -137,20 +138,41 @@ class CoherentPair:
         return kernel_apply(self.s, self.q)
 
 
+def _fiber_rows(pair: CoherentPair, weight: Mapping[str, tuple[int, int]] | None = None):
+    """The int rows (p_n, p_d, m_n, m_d) that entropy._kl takes, one for
+    each x in p's support, in order: p(x), then m(x) = (s . w)(x) =
+    w(f x) s_{f x}(x) for a weight w on Y given as y -> (num, den), q by
+    default, and needed only on q's support, where f sends p's support.
+
+    The sum over y of w(y) s_y(x) has that one term because the pair is
+    coherent at every y: each row s_y lives on the fiber over y and puts no
+    mass on x unless y = f x.  The identity is exact, not q-almost
+    everywhere, so s . w is never built.  No row is reduced.
+    """
+    if weight is None:
+        weight = {y: (m.numerator, m.denominator) for y, m in pair.q.items()}
+    f, rows = pair.f, pair.s.rows
+    for x, px in pair.p.items():
+        y = f[x]
+        wn, wd = weight[y]
+        sx = rows[y].mass.get(x, ZERO)
+        yield px.numerator, px.denominator, wn * sx.numerator, wd * sx.denominator
+
+
 def is_absolutely_coherent(pair: CoherentPair) -> bool:
     """Whether p is dominated by the reconstruction s applied to q.
 
-    (s . q)(x) = q(f x) s_{f x}(x), exactly: coherence puts each row s_y
-    on the fiber over y, so only y = f x adds mass at x.  q(f x) >= p(x)
-    is positive on p's support, so the test is s_{f x}(x) > 0 there, and
-    s . q is not built.
+    (s . q)(x) = q(f x) s_{f x}(x), as _fiber_rows reads it, and q(f x) >=
+    p(x) is positive on p's support, so the test is s_{f x}(x) > 0 there.
     """
     return all(x in pair.s.rows[pair.f[x]].mass for x in pair.p.mass)
 
 
 def is_optimal(pair: CoherentPair) -> bool:
-    """Whether the hypothesis reconstructs p exactly."""
-    return pair.hypothesis_pushforward() == pair.p
+    """Whether the hypothesis reconstructs p exactly: p(x) = (s . q)(x) on
+    p's support, read off _fiber_rows, so s . q, which also sums to 1, puts
+    no mass elsewhere."""
+    return all(pn * md == pd * mn for pn, pd, mn, md in _fiber_rows(pair))
 
 
 def compose_pairs(first: CoherentPair, second: CoherentPair) -> CoherentPair:

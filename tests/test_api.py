@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import kernelflow
-from test_documents_cli import COIN_DOC, FORECAST_LOG
+from test_documents_cli import COIN_DOC, COLLAPSE_DOC, FORECAST_LOG, TRUTH_DOC
 
 PUBLIC_NAMES = [
     "CoherentPair",
@@ -94,8 +94,10 @@ import sys
 import kernelflow
 import kernelflow.cli
 
-doc, log = sys.argv[1:]
-argvs = (["validate", doc], ["re", doc], ["decompose", doc], ["score", log, "--mode", "empirical"])
+doc, collapse, log, truth = sys.argv[1:]
+argvs = (["validate", doc], ["re", doc], ["re", doc, collapse], ["decompose", doc],
+         ["score", log, "--mode", "empirical"], ["score", log, "--mode", "sequential", "--truth", truth],
+         ["score", doc, "--mode", "conditional"])
 codes = [kernelflow.cli.main(argv) for argv in argvs]
 exact_layer = "numpy" in sys.modules
 from kernelflow import estimate_kl, gaussian_model
@@ -106,14 +108,16 @@ print("exit codes", codes, "numpy loaded", exact_layer, "numpy" in sys.modules)
 
 def test_exact_layer_starts_without_numpy(tmp_path):
     # a fresh interpreter: this one has long since imported numpy
-    doc, log = tmp_path / "coin.txt", tmp_path / "log.txt"
-    doc.write_text(COIN_DOC)
-    log.write_text(FORECAST_LOG)
+    files = {"coin.txt": COIN_DOC, "collapse.txt": COLLAPSE_DOC,
+             "log.txt": FORECAST_LOG, "truth.txt": TRUTH_DOC}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     src = str(Path(kernelflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, str(doc), str(log)], capture_output=True, text=True, env=env
+        [sys.executable, "-c", COLD_START, *(str(tmp_path / name) for name in files)],
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     # numpy absent after the exact-layer commands, present after the estimator import
-    assert proc.stdout.splitlines()[-1] == "exit codes [0, 0, 0, 0] numpy loaded False True"
+    assert proc.stdout.splitlines()[-1] == "exit codes [0, 0, 0, 0, 0, 0, 0] numpy loaded False True"

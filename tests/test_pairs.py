@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernelflow.entropy import re_fin
 from kernelflow.errors import DomainMismatchError, IncoherentPairError
 from kernelflow.finite import (
     FiniteDistribution,
@@ -29,7 +30,7 @@ from kernelflow.pairs import (
     validate_coherent,
 )
 
-from helpers import rand_coherent_pair, rand_composable_pairs, rand_distribution
+from helpers import labels, rand_coherent_pair, rand_composable_pairs, rand_distribution, rand_map
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -53,6 +54,32 @@ def coin_pair():
         },
     )
     return CoherentPair(f, s, p, uniform(toss))
+
+
+def disintegration_of_random_p(rng):
+    """The disintegration pair of a random p, full support or not, along a
+    map onto a smaller space, so that some fiber has two points."""
+    xs = FiniteSpace(labels(rng.randint(2, 8), "x"))
+    ys = FiniteSpace(labels(rng.randint(1, len(xs) - 1), "y"))
+    p = rand_distribution(xs, rng, full=rng.random() < 0.5)
+    return disintegration_pair(p, rand_map(rng, xs, ys, onto=True), ys)
+
+
+def nudged(pair, rng, share):
+    """pair with share of s_y(a) moved to b, for two points a and b of one
+    fiber with s_y(a) > 0: not optimal unless q(y) = 0."""
+    fibers = {}
+    for x, y in pair.f.items():
+        fibers.setdefault(y, []).append(x)
+    y = rng.choice([y for y, xs in fibers.items() if len(xs) >= 2])
+    row = dict(pair.s(y).mass)
+    a = rng.choice(list(row))
+    b = rng.choice([x for x in fibers[y] if x != a])
+    eps = row[a] * share
+    row[a] -= eps
+    row[b] = row.get(b, 0) + eps
+    rows = {**pair.s.rows, y: FiniteDistribution(pair.p.space, row)}
+    return CoherentPair(pair.f, StochasticKernel(pair.q.space, pair.p.space, rows), pair.p, pair.q)
 
 
 class TestValidateCoherent:
@@ -249,3 +276,19 @@ class TestOptimality:
         first, second = rand_composable_pairs(rng, optimal=True)
         assert is_optimal(first) and is_optimal(second)
         assert is_optimal(compose_pairs(first, second))
+
+    @given(seeds, st.sampled_from(["random", "optimal", "near-optimal"]), st.integers(1, 15))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_built_reconstruction(self, seed, kind, digits):
+        # hypothesis_pushforward builds s . q with kernel_apply; is_optimal
+        # reads it off the fibers and only on p's support
+        rng = random.Random(seed)
+        if kind == "random":
+            pair = rand_coherent_pair(rng, absolutely=rng.choice([True, False, None]))
+        else:
+            pair = disintegration_of_random_p(rng)
+            if kind == "near-optimal":
+                pair = nudged(pair, rng, Fraction(1, 10**digits))
+        assert is_optimal(pair) == (pair.hypothesis_pushforward() == pair.p)
+        if is_optimal(pair):
+            assert re_fin(pair).value == 0.0
