@@ -621,8 +621,8 @@ def discretized_kl(level: PartitionLevel) -> float:
     continuity at this resolution and give +inf.  The terms p log(p/q)
     are summed exactly and rounded once, so the value is math.fsum's.  A
     cell whose p/q overflows to inf or underflows to 0 has a finite term
-    all the same, and it is computed as p (log p - log q) instead; only
-    a sum that comes out non-finite looks for such cells.
+    all the same: its term is computed as p (log p - log q) instead,
+    before the one sum.
     """
     p, q = level.p_mass, level.q_mass
     occupied = p > 0
@@ -631,15 +631,9 @@ def discretized_kl(level: PartitionLevel) -> float:
     p, q = p[occupied], q[occupied]
     with np.errstate(over="ignore", divide="ignore"):
         terms = p * np.log(p / q)
-        try:
-            total = _exact_sum(terms)
-        except ValueError:  # fsum's inf - inf
-            total = math.nan
-        if not math.isfinite(total):
-            off = ~np.isfinite(terms)
-            terms[off] = p[off] * (np.log(p[off]) - np.log(q[off]))
-            total = _exact_sum(terms)
-    return max(0.0, total)
+    off = ~np.isfinite(terms)
+    terms[off] = p[off] * (np.log(p[off]) - np.log(q[off]))
+    return max(0.0, _exact_sum(terms))
 
 
 def _exact_sum(x: np.ndarray) -> float:

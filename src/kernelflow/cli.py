@@ -57,7 +57,7 @@ def _show_levels(rows) -> None:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DocumentParseError(f"cannot read {path}: {exc.strerror}", 1)
     except UnicodeDecodeError as exc:

@@ -46,10 +46,10 @@ def _exact(token: str) -> Fraction:
     """Fraction(token), without building 10**e for a huge exponent e.
 
     A nonzero number whose |e| is at least the int-to-str digit limit plus
-    its length has a numerator or denominator of more digits than that
-    limit, so it could not be printed: it raises OverflowError at once.
-    A zero mantissa is 0 whatever its exponent.  With the limit switched
-    off, the default limit of 4300 digits serves.
+    its length raises OverflowError at once: the bound keeps 10**e small,
+    so that a token of a few characters cannot ask for memory in
+    proportion to e.  A zero mantissa is 0 whatever its exponent.  With
+    the limit switched off, the default limit of 4300 digits serves.
     """
     token = token.strip()
     exp = _EXPONENT.search(token)

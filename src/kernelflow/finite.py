@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -27,21 +28,9 @@ def _as_fraction(value) -> Fraction:
 
 
 def format_fraction(f: Fraction) -> str:
-    """n/d, exactly, however many digits n and d have."""
-    try:
-        return f"{f.numerator}/{f.denominator}"
-    except ValueError:  # past CPython's limit on int-to-str digits
-        return f"{_digits(f.numerator)}/{_digits(f.denominator)}"
-
-
-def _digits(n: int) -> str:
-    """str(n) for n >= 0, built 600 digits at a time: CPython's limit on
-    int-to-str digits cannot be set below 640."""
-    chunk, chunks = 10**600, []
-    while n >= chunk:
-        n, low = divmod(n, chunk)
-        chunks.append(f"{low:0600d}")
-    return str(n) + "".join(reversed(chunks))
+    """n/d, exactly, however many digits n and d have: decimal turns an int
+    into digits without the limit str() has from Python 3.11 on."""
+    return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,11 +110,7 @@ class FiniteDistribution:
                     common = lcm
                 num += n * (common // d)
         if num != common:
-            try:
-                shown = str(Fraction(num, common))
-            except ValueError:  # more digits than int-to-str conversion allows
-                shown = "a fraction too long to print"
-            raise DomainMismatchError(f"masses sum to {shown}, not 1")
+            raise DomainMismatchError(f"masses sum to {format_fraction(Fraction(num, common))}, not 1")
         if not ordered:
             support = dict(sorted(support.items(), key=lambda item: index[item[0]]))
         object.__setattr__(self, "space", space)
@@ -205,10 +190,10 @@ def flatten(pairs: Iterable[tuple[object, FiniteDistribution]]) -> FiniteDistrib
     space = pairs[0][1].space
     for w, _ in pairs:
         if w < 0:
-            raise DomainMismatchError(f"outer weight {w} is negative")
+            raise DomainMismatchError(f"outer weight {format_fraction(w)} is negative")
     total = sum(w for w, _ in pairs)
     if total != ONE:
-        raise DomainMismatchError(f"outer weights sum to {total}, not 1")
+        raise DomainMismatchError(f"outer weights sum to {format_fraction(total)}, not 1")
     out = {}
     for w, d in pairs:
         if d.space != space:

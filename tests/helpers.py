@@ -17,6 +17,7 @@ import functools
 import math
 import random
 import string
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -212,6 +213,20 @@ def fraction_pushforward(p: FiniteDistribution, f: dict, target: FiniteSpace) ->
             raise DomainMismatchError(f"map sends {x!r} to {f[x]!r}, outside the target space")
         out[f[x]] += p(x)
     return out
+
+
+def unlimited_str(f: Fraction) -> str:
+    """n/d by str(), with CPython's limit on int-to-str digits lifted while
+    it runs and restored afterwards: the reference for format_fraction,
+    which prints through decimal instead."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def ln_fraction(r: Fraction) -> float:

@@ -16,7 +16,6 @@ import sys
 import tempfile
 import time
 import warnings
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,7 +48,7 @@ from kernelflow.finite import (
 from kernelflow.pairs import CoherentPair
 from kernelflow.scoring import ForecastRecord
 
-from helpers import fraction_kl, ln_fraction
+from helpers import fraction_kl, ln_fraction, unlimited_str
 
 COIN_DOC = """\
 morphism v1
@@ -745,9 +744,8 @@ class TestLongExactValues:
     int-to-str limit; the commands print them in full all the same."""
 
     def test_fibre_masses_print_in_full(self, capsys, tmp_path):
-        # the expected digits come from decimal, which no limit applies to
-        want = {y: f"{Decimal(q.numerator)}/{Decimal(q.denominator)}" for y, q in LONG_Q.items()}
-        assert all(len(str(Decimal(q.denominator))) > 4300 for q in LONG_Q.values())
+        want = {y: unlimited_str(q) for y, q in LONG_Q.items()}
+        assert all(len(want[y].partition("/")[2]) > 4300 for y in want)
         doc, summary = with_files(tmp_path, [LONG_Q_DOC])[0], tmp_path / "summary.json"
         code, out, err = run(capsys, "decompose", doc)
         assert (code, err) == (0, "")
@@ -763,7 +761,7 @@ class TestLongExactValues:
     def test_violations_print_in_full(self, capsys, tmp_path):
         # the declared q is wrong at both points, and each violation shows
         # f_*p(y) in full; printing it with str() ended in a ValueError
-        want = {y: f"{Decimal(q.numerator)}/{Decimal(q.denominator)}" for y, q in LONG_Q.items()}
+        want = {y: unlimited_str(q) for y, q in LONG_Q.items()}
         lines = [f"pushforward mismatch at '{y}': expected 1/2, got {want[y]}" for y in "ab"]
         doc = with_files(tmp_path, [WRONG_Q_DOC])[0]
         code, out, err = run(capsys, "validate", doc)
@@ -785,7 +783,36 @@ class TestLongExactValues:
         finally:
             if limit:
                 sys.set_int_max_str_digits(limit)
-        assert got == f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+        assert got == unlimited_str(q)
+
+    def test_output_does_not_depend_on_the_int_to_str_limit(self, tmp_path):
+        # at 400 points each fibre mass has 1,630 digits: each command must
+        # print the same bytes under the lowest limit an interpreter
+        # accepts, under the default one and with none
+        doc, q = long_q_document(400)
+        x1 = next(line for line in doc.splitlines() if line.startswith("p x1 "))
+        # the changed mass gives the sum a denominator of 647 digits
+        bad_sum = 1 - Fraction(x1.split()[2]) + Fraction("1e-638")
+        assert len(unlimited_str(bad_sum).partition("/")[2]) > 640
+        good, wrong_q, changed_p = with_files(
+            tmp_path, [doc, doc + "q a 1/2\nq b 1/2\n", doc.replace(x1, "p x1 1e-638")])
+        commands = [
+            ["decompose", good], ["score", good, "--mode", "conditional"],
+            ["validate", wrong_q], ["validate", changed_p]]
+        src = str(Path(kernelflow.__file__).resolve().parents[1])
+        base = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        got = []
+        for limit in ({"PYTHONINTMAXSTRDIGITS": "640"}, {}, {"PYTHONINTMAXSTRDIGITS": "0"}):
+            procs = [
+                subprocess.run([sys.executable, "-m", "kernelflow.cli", *argv], capture_output=True,
+                               text=True, encoding="utf-8", env={**base, **limit}, timeout=120)
+                for argv in commands]
+            got.append([(r.returncode, r.stdout, r.stderr) for r in procs])
+        assert got[0] == got[1] == got[2]
+        assert [code for code, _, _ in got[1]] == [0, 0, 1, 2]
+        assert f"a: q = {unlimited_str(q['a'])}, local RE = " in got[1][0][1]
+        assert got[1][3][2].endswith(f"p: masses sum to {unlimited_str(bad_sum)}, not 1\n")
 
 
 class TestEstimateKlCommand:
@@ -1013,7 +1040,7 @@ class TestEstimateKlCommand:
 # a number beyond what a float or an int-to-str conversion can hold,
 # in each place the CLI reads one: (argv, exit code, stderr prefix).
 # 1e5000 is refused by its exponent, at its own line; 1e4300 (4301
-# digits) is under that bound and fails as a sum too long to print
+# digits) is under that bound, and the sum check prints its sum in full
 HUGE_NUMBER_CASES = {
     "morphism_mass": (
         ["validate", COIN_DOC.replace("p HH 1/4", "p HH 1e5000")], 2,
@@ -1021,7 +1048,8 @@ HUGE_NUMBER_CASES = {
     "distribution_mass": (
         ["score", SEQ_LOG, "--mode", "sequential", "--truth",
          TRUTH_DOC.replace("mass H 1/2", "mass H 1e4300")], 2,
-        "parse error: line 4, column 1: distribution: masses sum to a fraction too long"),
+        "parse error: line 4, column 1: distribution: masses sum to "
+        f"{unlimited_str(Fraction(10**4300) + Fraction(1, 2))}, not 1"),
     "forecast_mass": (
         ["score", FORECAST_LOG.replace("alice H 2/3", "alice H 1e5000")], 2,
         "parse error: line 3, column 1: exponent out of range: '1e5000'"),
@@ -1062,6 +1090,26 @@ def test_document_that_is_not_text_is_a_parse_error(capsys, tmp_path, command):
     assert (code, out) == (2, "")
     assert err.startswith(f"parse error: line 1, column 1: cannot read {doc}: ")
     assert err.count("\n") == 1
+
+
+def test_documents_are_read_as_utf8_whatever_the_locale(tmp_path):
+    # under the C locale, without UTF-8 mode, the locale's encoding is
+    # ASCII; stdout is set to UTF-8 so that decompose can print the label
+    doc = tmp_path / "cafe.txt"
+    doc.write_text(
+        "morphism v1\nspace X x1 x2\nspace Y café\nmap x1 café\nmap x2 café\n"
+        "p x1 1/2\np x2 1/2\ns café x1 1/2\ns café x2 1/2\n", encoding="utf-8")
+    src = str(Path(kernelflow.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    outs = [
+        subprocess.run([sys.executable, "-m", "kernelflow.cli", command, str(doc)],
+                       capture_output=True, text=True, encoding="utf-8", env=env, timeout=120)
+        for command in ("validate", "decompose")]
+    assert [(r.returncode, r.stderr) for r in outs] == [(0, ""), (0, "")]
+    assert outs[0].stdout == "coherent: yes\nabsolutely coherent: yes\n"
+    assert outs[1].stdout.startswith("café: q = 1/1, local RE = 0\n")
 
 
 @pytest.mark.parametrize("case", sorted(HUGE_NUMBER_CASES))

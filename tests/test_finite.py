@@ -32,6 +32,7 @@ from helpers import (
     rand_fiber_kernel,
     rand_map,
     rand_space,
+    unlimited_str,
 )
 
 AB = FiniteSpace(("a", "b"))
@@ -118,7 +119,7 @@ class TestSpacesAndDistributions:
         assert str(err.value) == "masses sum to 7/6, not 1"
         with pytest.raises(DomainMismatchError) as err:
             dist(AB, a="0", b="0")
-        assert str(err.value) == "masses sum to 0, not 1"
+        assert str(err.value) == "masses sum to 0/1, not 1"
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -135,7 +136,7 @@ class TestSpacesAndDistributions:
         else:
             with pytest.raises(DomainMismatchError) as err:
                 FiniteDistribution(space, raw)
-            assert str(err.value) == f"masses sum to {total}, not 1"
+            assert str(err.value) == f"masses sum to {unlimited_str(total)}, not 1"
 
     @pytest.mark.parametrize(
         "points, message",
@@ -323,6 +324,21 @@ class TestDiracAndFlatten:
             with pytest.raises(DomainMismatchError) as err:
                 flatten([(Fraction(3, 2), first), (Fraction(-1, 2), second)])
             assert str(err.value) == "outer weight -1/2 is negative"
+
+    def test_flatten_messages_print_weights_past_the_int_to_str_limit(self):
+        # each message holds more digits than str() converts by default;
+        # it must still be the typed error, with every digit
+        tiny = Fraction(1, 10**4400)
+        total = Fraction(1, 2) + tiny
+        assert len(unlimited_str(total).partition("/")[2]) > 4300
+        with pytest.raises(DomainMismatchError) as err:
+            flatten([(Fraction(1, 2), uniform(AB)), (tiny, dirac("a", AB))])
+        assert str(err.value) == f"outer weights sum to {unlimited_str(total)}, not 1"
+        negative = Fraction(-(10**4400) - 1, 3)
+        assert len(unlimited_str(negative).partition("/")[0]) > 4300
+        with pytest.raises(DomainMismatchError) as err:
+            flatten([(1 - negative, uniform(AB)), (negative, dirac("a", AB))])
+        assert str(err.value) == f"outer weight {unlimited_str(negative)} is negative"
 
     @given(seeds)
     @settings(max_examples=60, deadline=None)
