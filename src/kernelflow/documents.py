@@ -5,9 +5,9 @@ A mass is read exactly, as `fractions.Fraction` reads a string: "3/4",
 common case, unsigned digits with an optional "/digits" denominator, is
 parsed with two int() calls; every other token goes through
 Fraction(token), so both paths give the same value or the same error.
-Only an exponent too large for any nonzero value of the token to be
-printed is refused before Fraction builds its power of ten.  A forecast
-log reads each distinct mass token once per parse and reuses its value.
+Only an exponent of at least 4300 plus the token's length is refused,
+before Fraction builds its power of ten.  A forecast log reads each
+distinct mass token once per parse and reuses its value.
 A morphism document's q lines are optional: the pair derives q as the
 pushforward of p, and a declared q is checked against it, not trusted.
 Serialization is canonical: fixed section order, canonical point order,
@@ -45,17 +45,19 @@ _EXPONENT = re.compile(
 def _exact(token: str) -> Fraction:
     """Fraction(token), without building 10**e for a huge exponent e.
 
-    A nonzero number whose |e| is at least the int-to-str digit limit plus
-    its length raises OverflowError at once: the bound keeps 10**e small,
-    so that a token of a few characters cannot ask for memory in
-    proportion to e.  A zero mantissa is 0 whatever its exponent.  With
-    the limit switched off, the default limit of 4300 digits serves.
+    A nonzero number whose |e| is at least 4300, CPython's default
+    int-to-str digit limit, plus its length raises OverflowError at once:
+    the bound keeps 10**e small, so that a token of a few characters
+    cannot ask for memory in proportion to e.  So does one whose e has
+    over 640 digits past its leading zeros, before int() reads them: 640
+    is the lowest limit an interpreter accepts, so no limit changes the
+    verdict.  A zero mantissa is 0 whatever its exponent.
     """
     token = token.strip()
     exp = _EXPONENT.search(token)
     if exp:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-        if abs(int(exp[1])) >= limit + len(token):
+        digits = exp[1].lstrip("+-").replace("_", "").lstrip("0")
+        if len(digits) > 640 or int(digits or 0) >= 4300 + len(token):
             mantissa = Fraction(token[:exp.start()] + "e0")
             if mantissa:
                 raise OverflowError(f"exponent out of range: {token!r}")

@@ -148,26 +148,31 @@ def dirac(x: str, space: FiniteSpace) -> FiniteDistribution:
     return FiniteDistribution(space, {x: ONE})
 
 
+def _check_map(f: Mapping[str, str], source: FiniteSpace, target: FiniteSpace) -> None:
+    """Raise DomainMismatchError at the first point of source, in its order,
+    where f is undefined or lands outside target."""
+    index = target._index
+    for x in source:
+        if x not in f:
+            raise DomainMismatchError(f"map undefined at point {x!r}")
+        if f[x] not in index:
+            raise DomainMismatchError(f"map sends {x!r} to {f[x]!r}, outside the target space")
+
+
 def pushforward(
     p: FiniteDistribution, f: Mapping[str, str], target: FiniteSpace
 ) -> FiniteDistribution:
     """The image distribution of p along the point map f.
 
+    f is checked on all of p's space, then only p's support is summed.
     Each target point's masses are summed as ints over a running common
     denominator, as FiniteDistribution checks a sum, and one Fraction is
     built per point of the image of p's support.
     """
-    mass, index = p.mass, target._index
+    _check_map(f, p.space, target)
     sums: dict[str, tuple[int, int]] = {}  # y -> (num, common), the sum num / common
-    for x in p.space:
-        if x not in f:
-            raise DomainMismatchError(f"map undefined at point {x!r}")
+    for x, m in p.mass.items():
         y = f[x]
-        if y not in index:
-            raise DomainMismatchError(f"map sends {x!r} to {y!r}, outside the target space")
-        m = mass.get(x)
-        if m is None:
-            continue
         n, d = m.as_integer_ratio()
         acc = sums.get(y)
         if acc is None:
@@ -245,6 +250,10 @@ class StochasticKernel:
 def deterministic_kernel(
     f: Mapping[str, str], source: FiniteSpace, target: FiniteSpace
 ) -> StochasticKernel:
+    """The kernel whose row at y is the point mass at f(y).  f is checked
+    first by the map check pushforward makes, so a point where f is
+    undefined or leaves target raises pushforward's message."""
+    _check_map(f, source, target)
     return StochasticKernel(source, target, {y: dirac(f[y], target) for y in source})
 
 

@@ -16,11 +16,11 @@ change equality or hashing.
 
 q is part of the morphism, not extra data: construction derives f_*p once,
 takes it as q when none is given, and otherwise reports every point where
-the given q differs from it.  Validation happens eagerly at construction;
-validate_coherent runs the same check and returns the violations instead
-of raising, an empty tuple for a coherent pair.  Two pairs are equal as
-morphisms when they agree q-almost everywhere; rows over q-null fibers
-are witnesses, not data.
+the given q differs from it.  validate_coherent is this check: it returns
+the violations instead of raising, an empty tuple for a coherent pair, and
+raises DomainMismatchError where the spaces or the map do not line up.
+Two pairs are equal as morphisms when they agree q-almost everywhere; rows
+over q-null fibers are witnesses, not data.
 """
 
 from __future__ import annotations
@@ -42,48 +42,6 @@ from .finite import (
     kleisli_compose,
     pushforward,
 )
-
-
-def _violations(
-    f: Mapping[str, str],
-    s: StochasticKernel,
-    q: FiniteDistribution,
-    pushed: FiniteDistribution,
-) -> tuple[str, ...]:
-    """Every way (f, s) fails to be coherent from p to q, given pushed = f_*p."""
-    violations = [
-        f"pushforward mismatch at {y!r}: expected {format_fraction(q(y))}, "
-        f"got {format_fraction(pushed(y))}"
-        for y in q.space
-        if pushed(y) != q(y)
-    ]
-    image = set(f.values())
-    for y in q.space:
-        if y not in image:
-            violations.append(
-                f"the fiber over {y!r} is empty; no hypothesis row can be coherent"
-            )
-            continue
-        for x in s(y).support():
-            if f[x] != y:
-                violations.append(
-                    f"hypothesis row at {y!r} puts mass on {x!r} outside the fiber"
-                )
-    return tuple(violations)
-
-
-def validate_coherent(
-    f: Mapping[str, str],
-    s: StochasticKernel,
-    p: FiniteDistribution,
-    q: FiniteDistribution | None = None,
-) -> tuple[str, ...]:
-    """Every way (f, s, p, q) fails to be coherent, q defaulting to f_*p as
-    in CoherentPair; empty when it is coherent.  Never raises on
-    well-shaped input."""
-    pushed = pushforward(p, f, s.source)
-    f = {x: f[x] for x in p.space}
-    return _violations(f, s, pushed if q is None else q, pushed)
 
 
 @dataclass(frozen=True)
@@ -108,10 +66,23 @@ class CoherentPair:
         f = {x: f[x] for x in p.space}
         if q is None:
             q = pushed
-        violations = _violations(f, s, q, pushed)
+        violations = [
+            f"pushforward mismatch at {y!r}: expected {format_fraction(q(y))}, "
+            f"got {format_fraction(pushed(y))}"
+            for y in q.space
+            if pushed(y) != q(y)
+        ]
+        image = set(f.values())
+        for y in q.space:
+            if y not in image:
+                violations.append(f"the fiber over {y!r} is empty; no hypothesis row can be coherent")
+                continue
+            for x in s(y).support():
+                if f[x] != y:
+                    violations.append(f"hypothesis row at {y!r} puts mass on {x!r} outside the fiber")
         if violations:
             raise IncoherentPairError(
-                "pair is not coherent: " + "; ".join(violations), violations
+                "pair is not coherent: " + "; ".join(violations), tuple(violations)
             )
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "s", s)
@@ -126,16 +97,31 @@ class CoherentPair:
             self.p == other.p
             and self.q == other.q
             and self.f == other.f
-            and all(self.s(y) == other.s(y) for y in self.q.space if self.q(y) > 0)
+            and all(self.s(y) == other.s(y) for y in self.q.mass)
         )
 
     def __hash__(self):
-        rows = tuple(self.s(y) for y in self.q.space if self.q(y) > 0)
+        rows = tuple(self.s(y) for y in self.q.mass)
         return hash((self.p, self.q, rows, tuple(self.f.items())))
 
     def hypothesis_pushforward(self) -> FiniteDistribution:
         """s applied to q; the pair's reconstruction of p."""
         return kernel_apply(self.s, self.q)
+
+
+def validate_coherent(
+    f: Mapping[str, str],
+    s: StochasticKernel,
+    p: FiniteDistribution,
+    q: FiniteDistribution | None = None,
+) -> tuple[str, ...]:
+    """The violations CoherentPair(f, s, p, q) raises, or () when it builds;
+    DomainMismatchError where the spaces or the map do not line up."""
+    try:
+        CoherentPair(f, s, p, q)
+    except IncoherentPairError as exc:
+        return exc.violations
+    return ()
 
 
 def _fiber_rows(pair: CoherentPair, weight: Mapping[str, tuple[int, int]] | None = None):

@@ -794,11 +794,16 @@ class TestLongExactValues:
         # the changed mass gives the sum a denominator of 647 digits
         bad_sum = 1 - Fraction(x1.split()[2]) + Fraction("1e-638")
         assert len(unlimited_str(bad_sum).partition("/")[2]) > 640
-        good, wrong_q, changed_p = with_files(
-            tmp_path, [doc, doc + "q a 1/2\nq b 1/2\n", doc.replace(x1, "p x1 1e-638")])
+        # an exponent past 640 but under 4300 is read, and one of 700 digits
+        # is out of range, whatever the limit
+        small, huge = "p x1 1e-700", "p x1 1e" + "9" * 700
+        good, wrong_q, changed_p, small_p, huge_p = with_files(
+            tmp_path, [doc, doc + "q a 1/2\nq b 1/2\n", doc.replace(x1, "p x1 1e-638"),
+                       doc.replace(x1, small), doc.replace(x1, huge)])
         commands = [
             ["decompose", good], ["score", good, "--mode", "conditional"],
-            ["validate", wrong_q], ["validate", changed_p]]
+            ["validate", wrong_q], ["validate", changed_p],
+            ["validate", small_p], ["validate", huge_p]]
         src = str(Path(kernelflow.__file__).resolve().parents[1])
         base = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
         base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -810,9 +815,12 @@ class TestLongExactValues:
                 for argv in commands]
             got.append([(r.returncode, r.stdout, r.stderr) for r in procs])
         assert got[0] == got[1] == got[2]
-        assert [code for code, _, _ in got[1]] == [0, 0, 1, 2]
+        assert [code for code, _, _ in got[1]] == [0, 0, 1, 2, 2, 2]
         assert f"a: q = {unlimited_str(q['a'])}, local RE = " in got[1][0][1]
         assert got[1][3][2].endswith(f"p: masses sum to {unlimited_str(bad_sum)}, not 1\n")
+        small_sum = 1 - Fraction(x1.split()[2]) + Fraction("1e-700")
+        assert got[1][4][2].endswith(f"p: masses sum to {unlimited_str(small_sum)}, not 1\n")
+        assert f"exponent out of range: '{huge.split()[2]}'" in got[1][5][2]
 
 
 class TestEstimateKlCommand:

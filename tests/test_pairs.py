@@ -4,16 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelflow.entropy import re_fin
-from kernelflow.errors import DomainMismatchError, IncoherentPairError
+from kernelflow.errors import DomainMismatchError, IncoherentPairError, KernelflowError
 from kernelflow.finite import (
     FiniteDistribution,
     FiniteSpace,
     StochasticKernel,
+    deterministic_kernel,
     dirac,
+    disintegrate,
     kernel_apply,
     kleisli_compose,
     pushforward,
@@ -170,6 +172,74 @@ class TestShapes:
         with pytest.raises(DomainMismatchError) as err:
             singleton_pair(uniform(AB), uniform(UV))
         assert str(err.value) == "hypothesis lives on the wrong space"
+
+
+def drawn_distribution(draw, space):
+    """A distribution on space from small int weights, zeros kept as entries."""
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(space), max_size=len(space)).filter(any))
+    return FiniteDistribution(space, {x: Fraction(w, sum(weights)) for x, w in zip(space, weights)})
+
+
+@st.composite
+def exact_layer_inputs(draw):
+    """(X, Y, f, p, s, q), shaped or not: f may miss points of X or send
+    them outside Y, s may land on a space other than X, q may be absent."""
+    xs = FiniteSpace(draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True)))
+    ys = FiniteSpace(draw(st.lists(st.sampled_from("uvw"), min_size=1, max_size=3, unique=True)))
+    images = draw(st.lists(st.sampled_from(ys.points * 3 + ("zz", None)),
+                           min_size=len(xs), max_size=len(xs)))
+    f = {x: y for x, y in zip(xs, images) if y is not None}
+    p = drawn_distribution(draw, xs)
+    target = draw(st.one_of(st.just(xs), st.lists(
+        st.sampled_from("abcd"), min_size=1, max_size=4, unique=True).map(FiniteSpace)))
+    s = StochasticKernel(ys, target, {y: drawn_distribution(draw, target) for y in ys})
+    q = drawn_distribution(draw, ys) if draw(st.booleans()) else None
+    return xs, ys, f, p, s, q
+
+
+def outcome(call):
+    """(value, None) or (None, the KernelflowError call raised); any other
+    exception propagates and fails the test."""
+    try:
+        return call(), None
+    except KernelflowError as exc:
+        return None, exc
+
+
+AC = FiniteSpace(("a", "c"))
+U = FiniteSpace(("u",))
+
+
+class TestMisShapedInput:
+    """Every exact-layer call on drawn, possibly mis-shaped, input returns or
+    raises a KernelflowError; the map and pair checks each answer one way."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(exact_layer_inputs())
+    # a kernel onto {a, c} with p on {a, b}
+    @example((AB, U, {"a": "u", "b": "u"}, uniform(AB),
+              StochasticKernel(U, AC, {"u": dirac("c", AC)}), None))
+    # a map undefined at b
+    @example((AB, U, {"a": "u"}, uniform(AB), StochasticKernel(U, AB, {"u": uniform(AB)}), None))
+    def test_each_call_ends_in_a_result_or_a_typed_error(self, case):
+        xs, ys, f, p, s, q = case
+        _, push_err = outcome(lambda: pushforward(p, f, ys))
+        _, det_err = outcome(lambda: deterministic_kernel(f, xs, ys))
+        assert (push_err is None) == (det_err is None)
+        if push_err is not None:
+            assert type(det_err) is DomainMismatchError and str(det_err) == str(push_err)
+        _, dis_err = outcome(lambda: disintegrate(p, f, ys))
+        assert (dis_err is None) == (push_err is None)
+        _, pair_err = outcome(lambda: CoherentPair(f, s, p, q))
+        if pair_err is None:
+            assert validate_coherent(f, s, p, q) == ()
+        elif isinstance(pair_err, IncoherentPairError):
+            assert validate_coherent(f, s, p, q) == pair_err.violations
+        else:
+            assert type(pair_err) is DomainMismatchError
+            with pytest.raises(DomainMismatchError) as err:
+                validate_coherent(f, s, p, q)
+            assert str(err.value) == str(pair_err)
 
 
 class TestAbsoluteCoherence:
