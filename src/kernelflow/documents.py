@@ -3,7 +3,8 @@
 A mass is read exactly, as `fractions.Fraction` reads a string: "3/4",
 "2", "0.25" and "1e-2" all parse, and a negative mass is an error.  The
 common case, unsigned digits with an optional "/digits" denominator, is
-parsed with two int() calls; every other token goes through
+parsed with two int() calls, or through decimal when a digit run is longer
+than the int-to-str limit lets int() read; every other token goes through
 Fraction(token), so both paths give the same value or the same error.
 Only an exponent of at least 4300 plus the token's length is refused,
 before Fraction builds its power of ten.  A forecast log reads each
@@ -20,11 +21,12 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator
 
 from .errors import DocumentParseError, DomainMismatchError
-from .finite import FiniteDistribution, FiniteSpace, StochasticKernel, format_fraction
+from .finite import FiniteDistribution, FiniteSpace, StochasticKernel, _check_map, format_fraction
 from .pairs import CoherentPair, validate_coherent
 from .scoring import ForecastRecord
 
@@ -51,7 +53,8 @@ def _exact(token: str) -> Fraction:
     cannot ask for memory in proportion to e.  So does one whose e has
     over 640 digits past its leading zeros, before int() reads them: 640
     is the lowest limit an interpreter accepts, so no limit changes the
-    verdict.  A zero mantissa is 0 whatever its exponent.
+    verdict, and Fraction is given the exponent without its leading zeros.
+    A zero mantissa is 0 whatever its exponent.
     """
     token = token.strip()
     exp = _EXPONENT.search(token)
@@ -62,6 +65,8 @@ def _exact(token: str) -> Fraction:
             if mantissa:
                 raise OverflowError(f"exponent out of range: {token!r}")
             return mantissa
+        # Fraction's own int() call then never meets the padding, which may pass the limit
+        token = f"{token[:exp.start()]}e{'-' * exp[1].startswith('-')}{digits or 0}"
     return Fraction(token)
 
 
@@ -69,8 +74,13 @@ def _fraction(token: str, lineno: int) -> Fraction:
     num, slash, den = token.partition("/")
     try:
         if num.isdecimal() and (den.isdecimal() or not slash):
-            # unsigned digits: two int() calls, and no sign to check
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            # unsigned digits: two int() calls, and no sign to check; int()
+            # refuses only a run past the int-to-str limit, and decimal,
+            # which has no such limit, reads that one
+            try:
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            except ValueError:
+                return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
         f = _exact(token)
     except (ValueError, ZeroDivisionError):
         raise DocumentParseError(f"not a fraction: {token!r}", lineno)
@@ -252,10 +262,8 @@ def serialize_morphism(doc: MorphismDocument) -> str:
     out = [MORPHISM_TAG]
     out.append(f"space {doc.x_name} " + " ".join(x_space))
     out.append(f"space {doc.y_name} " + " ".join(y_space))
-    for x in x_space:
-        if doc.f.get(x) not in y_space:
-            raise DomainMismatchError(f"map sends {x!r} to {doc.f.get(x)!r}, not a point of {doc.y_name!r}")
-        out.append(f"map {x} {doc.f[x]}")
+    _check_map(doc.f, x_space, y_space)
+    out += (f"map {x} {doc.f[x]}" for x in x_space)
     for x in x_space:
         out.append(f"p {x} {format_fraction(doc.p(x))}")
     if doc.q is not None:

@@ -99,7 +99,7 @@ class FiniteDistribution:
             m = value if type(value) is Fraction else _as_fraction(value)
             n, d = m.as_integer_ratio()  # one call, not two property reads
             if n < 0:
-                raise DomainMismatchError("negative mass")
+                raise DomainMismatchError(f"negative mass {format_fraction(m)} at point {label!r}")
             if n:
                 support[label] = m
                 ordered = ordered and last < i
@@ -187,27 +187,6 @@ def pushforward(
     return FiniteDistribution(target, {y: Fraction(*sums[y]) for y in target if y in sums})
 
 
-def flatten(pairs: Iterable[tuple[object, FiniteDistribution]]) -> FiniteDistribution:
-    """Monad multiplication: mix (weight, distribution) pairs on one space."""
-    pairs = [(_as_fraction(w), d) for w, d in pairs]
-    if not pairs:
-        raise DomainMismatchError("cannot flatten an empty mixture")
-    space = pairs[0][1].space
-    for w, _ in pairs:
-        if w < 0:
-            raise DomainMismatchError(f"outer weight {format_fraction(w)} is negative")
-    total = sum(w for w, _ in pairs)
-    if total != ONE:
-        raise DomainMismatchError(f"outer weights sum to {format_fraction(total)}, not 1")
-    out = {}
-    for w, d in pairs:
-        if d.space != space:
-            raise DomainMismatchError("mixture components live on different spaces")
-        for x, m in d.items():
-            out[x] = out.get(x, ZERO) + w * m
-    return FiniteDistribution(space, out)
-
-
 @dataclass(frozen=True)
 class StochasticKernel:
     """A source-indexed family of distributions on a common target space."""
@@ -271,6 +250,26 @@ def kernel_apply(s: StochasticKernel, q: FiniteDistribution) -> FiniteDistributi
             prev = out.get(x)
             out[x] = qy * m if prev is None else prev + qy * m
     return FiniteDistribution(s.target, out)
+
+
+def flatten(pairs: Iterable[tuple[object, FiniteDistribution]]) -> FiniteDistribution:
+    """Monad multiplication: the kernel i -> d_i applied to the weights w_i.
+
+    The n pairs are indexed by the labels "0" ... "n-1", so the weights are
+    checked as a distribution on that index space and the components as
+    the rows of one kernel from it, by the checks every distribution and
+    kernel passes.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        raise DomainMismatchError("cannot flatten an empty mixture")
+    weights, components = zip(*pairs)
+    index = FiniteSpace(map(str, range(len(pairs))))
+    try:
+        w = FiniteDistribution(index, dict(zip(index, weights)))
+    except DomainMismatchError as exc:
+        raise DomainMismatchError(f"outer weights: {exc}")
+    return kernel_apply(StochasticKernel(index, components[0].space, dict(zip(index, components))), w)
 
 
 def kleisli_compose(s: StochasticKernel, t: StochasticKernel) -> StochasticKernel:

@@ -52,10 +52,9 @@ from kernelflow.finite import (
 from kernelflow.pairs import disintegration_pair, validate_coherent
 from kernelflow.scoring import kl_score, properness_audit, sequential_scores
 
+from estimator_helpers import agreement_check, exponential_kl_oracle
 from helpers import (
-    agreement_check,
     direct_kl,
-    exponential_kl_oracle,
     rand_coherent_pair,
     rand_composable_pairs,
     rand_distribution,

@@ -121,3 +121,17 @@ def test_exact_layer_starts_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # numpy absent after the exact-layer commands, present after the estimator import
     assert proc.stdout.splitlines()[-1] == "exit codes [0, 0, 0, 0, 0, 0, 0] numpy loaded False True"
+
+
+def test_exact_layer_tests_import_no_numpy():
+    # the shared helpers and the four exact-layer test files must run on an
+    # interpreter without numpy: importing them loads neither numpy nor the
+    # estimator
+    src = str(Path(kernelflow.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])}
+    script = ("import sys, helpers, test_finite, test_pairs, test_entropy, test_scoring; "
+              "print('numpy' in sys.modules, 'kernelflow.borel' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False\n"

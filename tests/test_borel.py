@@ -39,7 +39,7 @@ from kernelflow.borel import (
 )
 from kernelflow.errors import DomainMismatchError, IntegrationToleranceError
 
-from helpers import (
+from estimator_helpers import (
     agreement_check,
     cell_interval,
     exponential_kl_oracle,

@@ -282,8 +282,8 @@ class TestMorphismDocuments:
     @pytest.mark.parametrize(
         "f, target, named",
         [
-            ({}, ("a",), "map sends 'a' to None, not a point of 'Y'"),
-            ({"a": "zz"}, ("a",), "map sends 'a' to 'zz', not a point of 'Y'"),
+            ({}, ("a",), "map undefined at point 'a'"),
+            ({"a": "zz"}, ("a",), "map sends 'a' to 'zz', outside the target space"),
             ({"a": "b"}, ("a", "d"), "rows live on another space than p"),
         ],
         ids=["map-undefined", "map-outside-y", "rows-off-x"],
@@ -797,13 +797,18 @@ class TestLongExactValues:
         # an exponent past 640 but under 4300 is read, and one of 700 digits
         # is out of range, whatever the limit
         small, huge = "p x1 1e-700", "p x1 1e" + "9" * 700
-        good, wrong_q, changed_p, small_p, huge_p = with_files(
+        # a denominator of 700 digits, and an exponent padded to 701 digits,
+        # are read whatever the limit, and the sum check fails on each
+        ones, padded = "p x1 1/" + "1" * 700, "p x1 1e-" + "0" * 700 + "7"
+        good, wrong_q, changed_p, small_p, huge_p, ones_p, padded_p = with_files(
             tmp_path, [doc, doc + "q a 1/2\nq b 1/2\n", doc.replace(x1, "p x1 1e-638"),
-                       doc.replace(x1, small), doc.replace(x1, huge)])
+                       doc.replace(x1, small), doc.replace(x1, huge),
+                       doc.replace(x1, ones), doc.replace(x1, padded)])
         commands = [
             ["decompose", good], ["score", good, "--mode", "conditional"],
             ["validate", wrong_q], ["validate", changed_p],
-            ["validate", small_p], ["validate", huge_p]]
+            ["validate", small_p], ["validate", huge_p],
+            ["validate", ones_p], ["validate", padded_p]]
         src = str(Path(kernelflow.__file__).resolve().parents[1])
         base = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
         base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -815,12 +820,35 @@ class TestLongExactValues:
                 for argv in commands]
             got.append([(r.returncode, r.stdout, r.stderr) for r in procs])
         assert got[0] == got[1] == got[2]
-        assert [code for code, _, _ in got[1]] == [0, 0, 1, 2, 2, 2]
+        assert [code for code, _, _ in got[1]] == [0, 0, 1, 2, 2, 2, 2, 2]
         assert f"a: q = {unlimited_str(q['a'])}, local RE = " in got[1][0][1]
         assert got[1][3][2].endswith(f"p: masses sum to {unlimited_str(bad_sum)}, not 1\n")
         small_sum = 1 - Fraction(x1.split()[2]) + Fraction("1e-700")
         assert got[1][4][2].endswith(f"p: masses sum to {unlimited_str(small_sum)}, not 1\n")
         assert f"exponent out of range: '{huge.split()[2]}'" in got[1][5][2]
+        for (_, _, err), line in zip(got[1][6:], (ones, padded)):
+            bad = 1 - Fraction(x1.split()[2]) + Fraction(line.split()[2])
+            assert err.endswith(f"line 803, column 1: p: masses sum to {unlimited_str(bad)}, not 1\n")
+
+    def test_a_serialized_document_reads_back_under_any_limit(self, tmp_path):
+        # with its q declared, the 1,400-point document has q tokens of
+        # 11,795 characters, which int() does not read under the default
+        # limit; parsing the text and serializing it again must give the
+        # same bytes under the lowest limit, the default one and none
+        doc = parse_morphism(LONG_Q_DOC)
+        text = serialize_morphism(dataclasses.replace(doc, q=doc.to_pair().q))
+        assert max(len(line) for line in text.splitlines()) > 4300 * 2
+        path = with_files(tmp_path, [text])[0]
+        script = ("import sys; from kernelflow.documents import parse_morphism, serialize_morphism; "
+                  "sys.stdout.write(serialize_morphism(parse_morphism(open(sys.argv[1]).read())))")
+        src = str(Path(kernelflow.__file__).resolve().parents[1])
+        base = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        for limit in ({"PYTHONINTMAXSTRDIGITS": "640"}, {}, {"PYTHONINTMAXSTRDIGITS": "0"}):
+            proc = subprocess.run([sys.executable, "-c", script, path], capture_output=True,
+                                  text=True, env={**base, **limit}, timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert proc.stdout == text
 
 
 class TestEstimateKlCommand:

@@ -179,10 +179,12 @@ class TestSpacesAndDistributions:
     @pytest.mark.parametrize(
         "mass, error, message",
         [
-            ({"a": Fraction(-1, 2), "z": Fraction(3, 2)}, DomainMismatchError, "negative mass"),
+            ({"a": Fraction(-1, 2), "z": Fraction(3, 2)}, DomainMismatchError,
+             "negative mass -1/2 at point 'a'"),
             ({"z": Fraction(3, 2), "a": Fraction(-1, 2)}, DomainMismatchError,
              "mass assigned to unknown point 'z'"),
-            ({"a": Fraction(-1, 2), "b": 0.5}, DomainMismatchError, "negative mass"),
+            ({"a": Fraction(-1, 2), "b": 0.5}, DomainMismatchError,
+             "negative mass -1/2 at point 'a'"),
             ({"a": 0.5, "b": Fraction(-1, 2)}, TypeError, "expected an exact rational, got float"),
             ({"z": 0.5, "a": 1}, DomainMismatchError, "mass assigned to unknown point 'z'"),
             ({"a": Fraction(1, 3), "b": 0, "c": Fraction(1, 3)}, DomainMismatchError,
@@ -315,7 +317,7 @@ class TestDiracAndFlatten:
         assert str(err.value) == "cannot flatten an empty mixture"
         with pytest.raises(DomainMismatchError) as err:
             flatten([(Fraction(1, 2), uniform(AB)), (Fraction(1, 4), dirac("a", AB))])
-        assert str(err.value) == "outer weights sum to 3/4, not 1"
+        assert str(err.value) == "outer weights: masses sum to 3/4, not 1"
 
     def test_flatten_rejects_negative_weights(self):
         # both mixtures' weights sum to 1; the first would even give a
@@ -323,7 +325,7 @@ class TestDiracAndFlatten:
         for first, second in ((uniform(AB), uniform(AB)), (dirac("a", AB), dirac("b", AB))):
             with pytest.raises(DomainMismatchError) as err:
                 flatten([(Fraction(3, 2), first), (Fraction(-1, 2), second)])
-            assert str(err.value) == "outer weight -1/2 is negative"
+            assert str(err.value) == "outer weights: negative mass -1/2 at point '1'"
 
     def test_flatten_messages_print_weights_past_the_int_to_str_limit(self):
         # each message holds more digits than str() converts by default;
@@ -333,12 +335,12 @@ class TestDiracAndFlatten:
         assert len(unlimited_str(total).partition("/")[2]) > 4300
         with pytest.raises(DomainMismatchError) as err:
             flatten([(Fraction(1, 2), uniform(AB)), (tiny, dirac("a", AB))])
-        assert str(err.value) == f"outer weights sum to {unlimited_str(total)}, not 1"
+        assert str(err.value) == f"outer weights: masses sum to {unlimited_str(total)}, not 1"
         negative = Fraction(-(10**4400) - 1, 3)
         assert len(unlimited_str(negative).partition("/")[0]) > 4300
         with pytest.raises(DomainMismatchError) as err:
             flatten([(1 - negative, uniform(AB)), (negative, dirac("a", AB))])
-        assert str(err.value) == f"outer weight {unlimited_str(negative)} is negative"
+        assert str(err.value) == f"outer weights: negative mass {unlimited_str(negative)} at point '1'"
 
     @given(seeds)
     @settings(max_examples=60, deadline=None)
