@@ -115,8 +115,8 @@ def _distribution(
     try:
         return FiniteDistribution(space, raw)
     except DomainMismatchError as exc:
-        if line_of is not None:
-            lineno = next((line_of(x) for x in raw if x not in space), lineno)
+        if line_of is not None and exc.point is not None:
+            lineno = line_of(exc.point)
         raise DocumentParseError(f"{what}: {exc}", lineno)
 
 
@@ -222,26 +222,22 @@ def parse_morphism(text: str) -> MorphismDocument:
     if not p_raw:
         raise DocumentParseError("missing p masses", last_line)
     p = distribution(x_space, p_raw, "p", "p")
-    for x in x_space:
-        if x not in f_map:
-            raise DocumentParseError(f"map undefined at point {x!r}", last_line)
-        if f_map[x] not in y_space:
-            raise DocumentParseError(
-                f"map sends {x!r} to unknown point {f_map[x]!r}", at["map", x]
-            )
+    # the map and the rows are checked by the library, and a fault is
+    # reported at the line of the point it names: its map line, the last s
+    # line of its row, or the last line when no line names the point
+    try:
+        _check_map(f_map, x_space, y_space)
+    except DomainMismatchError as exc:
+        raise DocumentParseError(str(exc), at.get(("map", exc.point), last_line))
+    # the library drops map entries outside X, and a document refuses them
     for x in f_map:
         if x not in x_space:
             raise DocumentParseError(f"map defined at unknown point {x!r}", at["map", x])
-    rows = {}
-    for y in y_space:
-        raw = s_raw.get(y)
-        if raw is None:
-            raise DocumentParseError(f"missing hypothesis row for {y!r}", last_line)
-        rows[y] = distribution(x_space, raw, f"s row {y!r}", "s", y)
-    for y in s_raw:
-        if y not in y_space:
-            raise DocumentParseError(f"hypothesis row for unknown point {y!r}", at["s", y])
-    s = StochasticKernel(y_space, x_space, rows)
+    rows = {y: distribution(x_space, raw, f"s row {y!r}", "s", y) for y, raw in s_raw.items()}
+    try:
+        s = StochasticKernel(y_space, x_space, rows)
+    except DomainMismatchError as exc:
+        raise DocumentParseError(str(exc), at.get(("s", exc.point), last_line))
     q = distribution(y_space, q_raw, "q", "q") if q_raw else None
     return MorphismDocument(x_name, y_name, p, f_map, s, q)
 
@@ -341,6 +337,10 @@ def parse_forecast_log(text: str) -> ForecastLog:
                     lineno,
                 )
             try:
+                # 640 is the lowest int-to-str limit an interpreter accepts, so
+                # a longer token is refused under every limit, before int()
+                if len(tokens[1]) > 640:
+                    raise ValueError
                 rnd = int(tokens[1])
             except ValueError:
                 raise DocumentParseError(f"bad round number {tokens[1]!r}", lineno)

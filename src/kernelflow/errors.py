@@ -8,7 +8,13 @@ class KernelflowError(Exception):
 
 
 class DomainMismatchError(KernelflowError):
-    """Spaces, maps or supports do not line up as required."""
+    """Spaces, maps or supports do not line up as required.  point is the
+    label at fault where a caller reads one (a mass outside the space, a
+    map's bad point, a kernel's missing or first unknown row), else None."""
+
+    def __init__(self, message: str, point: str | None = None):
+        super().__init__(message)
+        self.point = point
 
 
 class IncoherentPairError(KernelflowError):

@@ -95,7 +95,7 @@ class FiniteDistribution:
         for label, value in mass.items():
             i = index.get(label)
             if i is None:
-                raise DomainMismatchError(f"mass assigned to unknown point {label!r}")
+                raise DomainMismatchError(f"mass assigned to unknown point {label!r}", label)
             m = value if type(value) is Fraction else _as_fraction(value)
             n, d = m.as_integer_ratio()  # one call, not two property reads
             if n < 0:
@@ -143,20 +143,18 @@ def uniform(space: FiniteSpace) -> FiniteDistribution:
 
 def dirac(x: str, space: FiniteSpace) -> FiniteDistribution:
     """The point mass at x: the unit of the distribution monad."""
-    if x not in space:
-        raise DomainMismatchError(f"{x!r} is not a point of the space")
     return FiniteDistribution(space, {x: ONE})
 
 
 def _check_map(f: Mapping[str, str], source: FiniteSpace, target: FiniteSpace) -> None:
-    """Raise DomainMismatchError at the first point of source, in its order,
-    where f is undefined or lands outside target."""
+    """Raise DomainMismatchError, with that point, at the first point of
+    source, in its order, where f is undefined or lands outside target."""
     index = target._index
     for x in source:
         if x not in f:
-            raise DomainMismatchError(f"map undefined at point {x!r}")
+            raise DomainMismatchError(f"map undefined at point {x!r}", x)
         if f[x] not in index:
-            raise DomainMismatchError(f"map sends {x!r} to {f[x]!r}, outside the target space")
+            raise DomainMismatchError(f"map sends {x!r} to {f[x]!r}, outside the target space", x)
 
 
 def pushforward(
@@ -204,14 +202,15 @@ class StochasticKernel:
         fixed: dict[str, FiniteDistribution] = {}
         for y in source:
             if y not in rows:
-                raise DomainMismatchError(f"kernel has no row for source point {y!r}")
+                raise DomainMismatchError(f"kernel has no row for source point {y!r}", y)
             row = rows[y]
             if row.space != target:
                 raise DomainMismatchError(f"row at {y!r} lives on the wrong space")
             fixed[y] = row
         if len(rows) != len(source):
-            extra = set(rows) - set(source.points)
-            raise DomainMismatchError(f"rows given for unknown points {sorted(extra)}")
+            # the error's point is the first unknown one in the order given
+            extra = [y for y in rows if y not in source]
+            raise DomainMismatchError(f"rows given for unknown points {sorted(extra)}", extra[0])
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "rows", fixed)

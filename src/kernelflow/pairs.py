@@ -185,10 +185,9 @@ def singleton_pair(p: FiniteDistribution, hypothesis: FiniteDistribution) -> Coh
     """The morphism (X, p) -> ({"*"}, dirac) with the given hypothesis row.
 
     This is how a plain forecast about X enters the category: every fiber
-    condition is vacuous, so any hypothesis distribution on X is allowed.
+    condition is vacuous, so any hypothesis distribution on X is allowed;
+    StochasticKernel refuses one on another space.
     """
-    if hypothesis.space != p.space:
-        raise DomainMismatchError("hypothesis lives on the wrong space")
     point = FiniteSpace(("*",))
     s = StochasticKernel(point, p.space, {"*": hypothesis})
     f = {x: "*" for x in p.space}

@@ -41,6 +41,7 @@ from kernelflow.finite import (
     FiniteDistribution,
     FiniteSpace,
     StochasticKernel,
+    _check_map,
     dirac,
     pushforward,
     uniform,
@@ -126,6 +127,21 @@ space Y H T
 map a H
 map b T
 map zz H
+p a 1/2
+p b 1/2
+s H a 1
+s T b 1
+"""
+
+# a pair on X = {a, b, c} but for the map line sending c to Z, a point
+# outside Y, on line 6
+MAP_OUTSIDE_Y_DOC = """\
+morphism v1
+space X a b c
+space Y H T
+map a H
+map b T
+map c Z
 p a 1/2
 p b 1/2
 s H a 1
@@ -243,6 +259,33 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@st.composite
+def maps_and_rows(draw):
+    """Point labels of X and Y, a map from X to Y, and hypothesis entries
+    (y, x, mass), one row at each point of Y, each row a distribution on X,
+    in any order and interleaved; then up to three faults, each a map entry
+    dropped or sent outside Y, a row dropped, or a row at an unknown point."""
+    xs = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    ys = [f"y{i}" for i in range(draw(st.integers(1, 3)))]
+    f = {x: draw(st.sampled_from(ys)) for x in draw(st.permutations(xs))}
+    at = dict.fromkeys(draw(st.permutations(ys)))
+    for fault in draw(st.lists(st.sampled_from(["undefined", "outside", "no row", "unknown row"]),
+                               max_size=3)):
+        if fault == "undefined":
+            f.pop(draw(st.sampled_from(xs)), None)
+        elif fault == "outside":
+            f[draw(st.sampled_from(xs))] = "u0"
+        elif fault == "no row":
+            at.pop(draw(st.sampled_from(ys)), None)
+        else:
+            at[draw(st.sampled_from(["u0", "u1"]))] = None
+    entries = []
+    for y in at:
+        support = draw(st.lists(st.sampled_from(xs), min_size=1, unique=True))
+        entries += ((y, x, Fraction(1, len(support))) for x in support)
+    return xs, ys, f, draw(st.permutations(entries))
 
 
 class TestMorphismDocuments:
@@ -375,8 +418,9 @@ class TestMorphismDocuments:
             (COIN_DOC.replace("s T TH 1/3", "s T ZZ 1/3"), 14, "s row 'T': mass assigned to"),
             (with_q, 13, "q: masses sum to 5/6"),
             (with_q.replace("q H 1/2", "q Z 1/2"), 12, "q: mass assigned to unknown"),
-            (COIN_DOC.replace("map TH T", "map TH Z"), 6, "map sends 'TH' to unknown"),
-            (extra_row, 14, "row for unknown point 'Z'"),
+            (COIN_DOC.replace("map TH T", "map TH Z"), 6,
+             "map sends 'TH' to 'Z', outside the target space"),
+            (extra_row, 14, "rows given for unknown points ['Z']"),
         ]
         for text, line, message in cases:
             with pytest.raises(DocumentParseError) as err:
@@ -393,6 +437,51 @@ class TestMorphismDocuments:
         with pytest.raises(DocumentParseError) as err:
             parse_morphism(bad)
         assert "'T'" in str(err.value)
+
+    def test_a_faulty_row_is_read_before_a_missing_row(self):
+        # every given row is read as a distribution before the kernel
+        # notices that the row at H is missing
+        bad = COIN_DOC.replace("s H HH 2/3\ns H HT 1/3\n", "").replace("s T TT 2/3", "s T TT 1/3")
+        with pytest.raises(DocumentParseError) as err:
+            parse_morphism(bad)
+        assert str(err.value) == "line 13, column 1: s row 'T': masses sum to 2/3, not 1"
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(maps_and_rows())
+    def test_map_and_row_faults_read_as_the_library_reads_them(self, drawn):
+        # a document is only the text of f and s: it fails exactly when
+        # _check_map and StochasticKernel fail on the same objects, with
+        # their message, at the map line of the point at fault, the last s
+        # line of its row, or the last line when no line names the point
+        xs, ys, f, entries = drawn
+        lines = ["morphism v1", "space X " + " ".join(xs), "space Y " + " ".join(ys)]
+        map_line, row_line, rows = {}, {}, {}
+        for x, y in f.items():
+            lines.append(f"map {x} {y}")
+            map_line[x] = len(lines)
+        lines += (f"p {x} 1/{len(xs)}" for x in xs)
+        for y, x, m in entries:
+            lines.append(f"s {y} {x} {format_fraction(m)}")
+            row_line[y] = len(lines)
+            rows.setdefault(y, {})[x] = m
+        x_space, y_space = FiniteSpace(xs), FiniteSpace(ys)
+        try:
+            _check_map(f, x_space, y_space)
+            s = StochasticKernel(y_space, x_space, {
+                y: FiniteDistribution(x_space, row) for y, row in rows.items()})
+        except DomainMismatchError as exc:
+            bad_x = [x for x in xs if f.get(x) not in ys]
+            if bad_x:
+                line = map_line.get(bad_x[0], len(lines))
+            elif any(y not in rows for y in ys):
+                line = len(lines)
+            else:
+                line = row_line[next(y for y in rows if y not in ys)]
+            with pytest.raises(DocumentParseError) as err:
+                parse_morphism("\n".join(lines) + "\n")
+            assert str(err.value) == f"line {line}, column 1: {exc}"
+        else:
+            assert parse_morphism("\n".join(lines) + "\n").s == s
 
 
 class TestPushforwardDerivedOnce:
@@ -554,6 +643,8 @@ PARSE_ERROR_CASES = {
     "map_missing": (parse_morphism, COIN_DOC.replace("map TH T\n", ""), 14,
                     "map undefined at point 'TH'"),
     "map_outside_x": (parse_morphism, MAP_OUTSIDE_X_DOC, 6, "map defined at unknown point 'zz'"),
+    "map_outside_y": (parse_morphism, MAP_OUTSIDE_Y_DOC, 6,
+                      "map sends 'c' to 'Z', outside the target space"),
     "distribution_space_twice": (parse_distribution, TRUTH_DOC + "space H T\n", 5,
                                  "space declared twice"),
     "mass_arity": (parse_distribution, TRUTH_DOC.replace("mass T 1/2", "mass T"), 4,
@@ -800,15 +891,18 @@ class TestLongExactValues:
         # a denominator of 700 digits, and an exponent padded to 701 digits,
         # are read whatever the limit, and the sum check fails on each
         ones, padded = "p x1 1/" + "1" * 700, "p x1 1e-" + "0" * 700 + "7"
-        good, wrong_q, changed_p, small_p, huge_p, ones_p, padded_p = with_files(
+        # a round number of 700 digits is refused whatever the limit
+        long_round = FORECAST_LOG.replace("forecast 2", "forecast " + "1" * 700)
+        good, wrong_q, changed_p, small_p, huge_p, ones_p, padded_p, round_log = with_files(
             tmp_path, [doc, doc + "q a 1/2\nq b 1/2\n", doc.replace(x1, "p x1 1e-638"),
                        doc.replace(x1, small), doc.replace(x1, huge),
-                       doc.replace(x1, ones), doc.replace(x1, padded)])
+                       doc.replace(x1, ones), doc.replace(x1, padded), long_round])
         commands = [
             ["decompose", good], ["score", good, "--mode", "conditional"],
             ["validate", wrong_q], ["validate", changed_p],
             ["validate", small_p], ["validate", huge_p],
-            ["validate", ones_p], ["validate", padded_p]]
+            ["validate", ones_p], ["validate", padded_p],
+            ["score", round_log, "--mode", "empirical"]]
         src = str(Path(kernelflow.__file__).resolve().parents[1])
         base = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
         base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -820,7 +914,7 @@ class TestLongExactValues:
                 for argv in commands]
             got.append([(r.returncode, r.stdout, r.stderr) for r in procs])
         assert got[0] == got[1] == got[2]
-        assert [code for code, _, _ in got[1]] == [0, 0, 1, 2, 2, 2, 2, 2]
+        assert [code for code, _, _ in got[1]] == [0, 0, 1, 2, 2, 2, 2, 2, 2]
         assert f"a: q = {unlimited_str(q['a'])}, local RE = " in got[1][0][1]
         assert got[1][3][2].endswith(f"p: masses sum to {unlimited_str(bad_sum)}, not 1\n")
         small_sum = 1 - Fraction(x1.split()[2]) + Fraction("1e-700")
@@ -829,6 +923,7 @@ class TestLongExactValues:
         for (_, _, err), line in zip(got[1][6:], (ones, padded)):
             bad = 1 - Fraction(x1.split()[2]) + Fraction(line.split()[2])
             assert err.endswith(f"line 803, column 1: p: masses sum to {unlimited_str(bad)}, not 1\n")
+        assert got[1][8][2].startswith("parse error: line 4, column 1: bad round number '111")
 
     def test_a_serialized_document_reads_back_under_any_limit(self, tmp_path):
         # with its q declared, the 1,400-point document has q tokens of

@@ -171,7 +171,7 @@ class TestShapes:
     def test_singleton_hypothesis_on_another_space(self):
         with pytest.raises(DomainMismatchError) as err:
             singleton_pair(uniform(AB), uniform(UV))
-        assert str(err.value) == "hypothesis lives on the wrong space"
+        assert str(err.value) == "row at '*' lives on the wrong space"
 
 
 def drawn_distribution(draw, space):
